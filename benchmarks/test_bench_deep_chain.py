@@ -3,7 +3,7 @@
 The recursive engine burned one interpreter frame per ``spread ->
 propagate_variable -> set_propagated`` hop and pre-raised the recursion
 limit by 50k per round; chains deeper than the headroom were simply
-impossible.  The wavefront engine iterates an explicit event queue, so
+impossible.  The wavefront engine iterates an explicit frame stack, so
 chain depth is bounded only by heap memory.  These benchmarks drive full
 value changes down equality chains of 1k / 10k / 100k constraints — the
 100k case is ~100x deeper than CPython's default recursion limit.

@@ -9,10 +9,9 @@ recomputation of transient results.
 An agenda is a first-in-first-out queue that rejects duplicate entries.
 The scheduler holds several named agendas in a fixed priority order; after
 the initial un-scheduled spread of a value change, the propagation
-engine's wavefront loop repeatedly pops the first entry of the
-highest-priority non-empty agenda — via a ``drain-agendas`` barrier event
-that re-arms itself after each popped inference's wavefront completes —
-until all agendas are empty.
+engine's agenda barrier repeatedly pops the first entry of the
+highest-priority non-empty agenda, each popped inference's wavefront
+completing before the next pop, until all agendas are empty.
 
 STEM's hierarchical extension (section 5.1.2) adds a lowest-priority
 ``implicit_constraints`` agenda so propagation tends to finish one level of
@@ -21,7 +20,7 @@ the design hierarchy before crossing to another.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 #: Default agenda names, highest priority first.
@@ -35,9 +34,13 @@ ScheduledEntry = Tuple[Any, Any]  # (constraint, variable-or-None)
 class Agenda:
     """A FIFO queue of ``(constraint, variable)`` entries without duplicates."""
 
+    __slots__ = ("name", "_queue", "_members")
+
     def __init__(self, name: str) -> None:
         self.name = name
         self._queue: Deque[ScheduledEntry] = deque()
+        #: Identity keys of the queued entries: ``id(constraint)`` for
+        #: the common variable-less entry, an id pair otherwise.
         self._members: set = set()
 
     def __len__(self) -> int:
@@ -51,7 +54,8 @@ class Agenda:
 
         Returns True if the entry was added.
         """
-        key = (id(constraint), id(variable))
+        key = id(constraint) if variable is None \
+            else (id(constraint), id(variable))
         if key in self._members:
             return False
         self._members.add(key)
@@ -61,7 +65,9 @@ class Agenda:
     def pop(self) -> ScheduledEntry:
         """Remove and return the oldest entry."""
         entry = self._queue.popleft()
-        self._members.discard((id(entry[0]), id(entry[1])))
+        constraint, variable = entry
+        self._members.discard(id(constraint) if variable is None
+                              else (id(constraint), id(variable)))
         return entry
 
     def clear(self) -> None:
@@ -83,9 +89,9 @@ class AgendaScheduler:
     """
 
     def __init__(self, priority_order: Iterable[str] = DEFAULT_PRIORITY_ORDER) -> None:
-        self._agendas: "OrderedDict[str, Agenda]" = OrderedDict(
-            (name, Agenda(name)) for name in priority_order
-        )
+        #: The agendas by name, highest priority first.
+        self._agendas: Dict[str, Agenda] = {
+            name: Agenda(name) for name in priority_order}
         #: Optional :class:`repro.obs.observer.Observer` fed with enqueue
         #: and pop events (queue-depth histograms); installed alongside
         #: ``context.observer``, one attribute check when absent.
@@ -106,7 +112,9 @@ class AgendaScheduler:
     def schedule(self, constraint: Any, variable: Any = None,
                  agenda: str = FUNCTIONAL) -> bool:
         """Schedule ``constraint`` (with optional triggering ``variable``)."""
-        target = self.agenda_named(agenda)
+        target = self._agendas.get(agenda)
+        if target is None:
+            target = self.agenda_named(agenda)
         added = target.schedule(constraint, variable)
         if added:
             observer = self.observer
@@ -117,7 +125,7 @@ class AgendaScheduler:
     def remove_highest_priority_entry(self) -> Optional[ScheduledEntry]:
         """Pop the first entry of the highest-priority non-empty agenda."""
         for agenda in self._agendas.values():
-            if agenda:
+            if agenda._queue:
                 entry = agenda.pop()
                 observer = self.observer
                 if observer is not None:
@@ -130,7 +138,8 @@ class AgendaScheduler:
 
     def clear(self) -> None:
         for agenda in self._agendas.values():
-            agenda.clear()
+            if agenda._queue:
+                agenda.clear()
 
     def pending_counts(self) -> Dict[str, int]:
         """Number of queued entries per agenda (for inspection/benchmarks)."""

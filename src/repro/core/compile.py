@@ -185,7 +185,7 @@ class CompiledNetwork:
 
         When a propagation round is already running (a compiled plan
         invoked from a hook or handler mid-round), the stores instead join
-        the active round's event queue via ``context.assign``: they are
+        the active round's frame stack via ``context.assign``: they are
         recorded in the round's visited set, so a later violation rolls
         them back with everything else.
         """

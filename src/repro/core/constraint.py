@@ -172,10 +172,14 @@ class Constraint:
         constraints schedule themselves if the changed variable is allowed
         to drive them (Fig. 4.7).
         """
-        if self.agenda is None:
+        agenda = self.agenda
+        if agenda is None:
             self.immediate_inference_by_changing(variable)
         elif self.permits_changes_by(variable):
-            self.context.schedule(self, None, agenda=self.agenda)
+            context = self._context
+            if context is None:
+                context = default_context()
+            context.schedule(self, None, agenda=agenda)
 
     def propagate_scheduled(self, variable: Any) -> None:
         """Run a deferred propagation popped from an agenda."""
@@ -239,4 +243,5 @@ class Constraint:
 
     def non_nil_values(self) -> List[Any]:
         """Values of arguments that currently hold a value."""
-        return [v.value for v in self._arguments if v.value is not None]
+        return [value for variable in self._arguments
+                if (value := variable.value) is not None]

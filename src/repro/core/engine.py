@@ -7,34 +7,34 @@ constraints (inferring values for further variables), followed by draining
 the fixed-priority agendas and a final ``is_satisfied`` sweep over every
 visited constraint.
 
-The thesis (and earlier versions of this module) realise the traversal as
-literal recursion: every ``spread -> propagate_variable -> set_propagated``
-hop consumes an interpreter stack frame, which caps network depth and
-requires raising the recursion limit for long chains.  Following the
-generic *propagator iteration* architecture of constraint-engine
-literature (Schulte & Stuckey, "Efficient Constraint Propagation Engines";
-Apt, "The Essence of Constraint Propagation"), the traversal is instead
-driven by an explicit per-round **event queue**:
+The thesis realises the traversal as literal recursion, which caps network
+depth at the interpreter's stack.  Following the *propagator iteration*
+architecture of constraint-engine literature (Schulte & Stuckey,
+"Efficient Constraint Propagation Engines"; Apt, "The Essence of
+Constraint Propagation"), each round instead keeps an explicit **frame
+stack**, popped LIFO by :meth:`PropagationContext._drain`:
 
-* ``("variable-changed", variable, exclude)`` — a changed variable must
-  activate its constraints (the thesis's ``propagate`` message);
-* ``("activate-constraint", constraint, variable)`` — one constraint
-  reacts to one changed argument (``propagateVariable:``);
-* ``("drain-agendas",)`` — pop scheduled entries off the fixed-priority
-  agendas until all are empty, letting each inference's wavefront finish
-  before the next entry pops;
-* ``("repropagate", constraint, remaining)`` — re-assert an edited
-  constraint's arguments in precedence order (Fig. 4.13), one argument
-  per dispatch with an agenda drain in between.
+* a *changed-variable* frame — one per changed variable — first snapshots
+  the constraints the change activates (the thesis's ``propagate``
+  message), then hands them out one activation
+  (``propagateVariable:``) per step, staying on the stack until its last
+  constraint has been activated;
+* the *agenda barrier* — one per round seed — pops the highest-priority
+  scheduled entry, runs its inference and stays put until the agendas are
+  empty, so each inference's wavefront finishes before the next entry
+  pops;
+* a *repropagation* frame re-asserts an edited constraint's arguments in
+  precedence order (Fig. 4.13), one argument per step with an agenda
+  barrier in between.
 
-:meth:`PropagationContext._drain` pops events in **LIFO** order; events
-posted while dispatching one event are pushed so the first-posted pops
-first.  The result is exactly the depth-first activation order of the
-recursive engine — same visited order, same violation points, same
-counter values — but depth is limited by heap memory, not the C stack,
-the interpreter's recursion limit is never touched, and all stats
-counting, tracing and observability hooks (``context.observer``, see
-:mod:`repro.obs`) for constraint activity happen at one dispatch site.
+Frames posted while one step runs sit above it and pop first, which is
+exactly the depth-first activation order of the recursive engine — same
+visited order, same violation points, same counter values — with depth
+limited by heap memory, not the C stack.  Every counter, trace and
+observer hook (``context.observer``, see :mod:`repro.obs`) for
+constraint activity fires at that one dispatch site; the observer,
+tracer, control, budget and plan recording in force are read once when
+the round opens.
 
 The Smalltalk implementation keeps its bookkeeping in globals
 (``VisitedConstraintsAndVariables``, the agenda scheduler, the ``CPSwitch``
@@ -63,10 +63,9 @@ Key behaviours reproduced:
 from __future__ import annotations
 
 import threading
-from collections import deque
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .agenda import AgendaScheduler, DEFAULT_PRIORITY_ORDER
 from .justification import TENTATIVE, USER, Justification
@@ -124,15 +123,18 @@ _UNLIMITED = float("inf")
 class RoundBudget:
     """Per-round watchdog limits for the wavefront loop.
 
-    A budget bounds one propagation round by dispatched queue events
-    (``max_steps``) and/or wall-clock time (``max_seconds``).  Crossing
+    A budget bounds one propagation round by wavefront steps
+    (``max_steps``: one per changed-variable snapshot, constraint
+    activation, agenda-barrier visit and repropagation visit — see
+    :meth:`PropagationContext._drain`) and/or wall-clock time
+    (``max_seconds``).  Crossing
     either limit raises :class:`~repro.core.violations.BudgetExceeded`,
     which aborts the round through the ordinary violation rollback — the
     network comes back byte-identical to its pre-round state and the
     assignment reports ``False``.
 
     Step budgets are **deterministic**: the same round overruns at the
-    same event on every machine, so durable sessions journal them and
+    same step on every machine, so durable sessions journal them and
     replay reproduces the abort exactly.  Wall-time budgets are a
     liveness backstop (a slow machine may abort a round a fast one
     completes) — use them for interactive safety, not for anything that
@@ -159,11 +161,13 @@ class RoundBudget:
         return f"RoundBudget(max_steps={steps}, max_seconds={self.max_seconds})"
 
 
-#: Queue event kinds (first element of each event tuple).
-_VARIABLE_CHANGED = "variable-changed"
-_ACTIVATE = "activate-constraint"
-_DRAIN_AGENDAS = "drain-agendas"
-_REPROPAGATE = "repropagate"
+#: Frame kinds (first element of each frame on a round's stack).
+_CHANGED = 0      # [_CHANGED, variable, exclude]: constraints not yet snapshot
+_ACTIVATE = 1     # [_ACTIVATE, variable, pending]: pending is reversed
+_BARRIER = 2      # the agenda barrier (one shared immutable frame)
+_REPROPAGATE = 3  # [_REPROPAGATE, constraint, remaining-or-None]
+
+_BARRIER_FRAME = (_BARRIER,)
 
 
 class _Round:
@@ -172,67 +176,76 @@ class _Round:
     ``visited`` maps each touched variable to its pre-round
     ``(last_set_by, value)`` so the network can be restored (the global
     dictionary of section 4.2.2); ``changes`` counts value changes per
-    variable for the one-value-change rule; ``visited_constraints`` records
-    activation order for the final satisfaction sweep.
+    variable for the one-value-change rule; ``constraints`` records
+    activated constraints, by identity and in first-activation order, for
+    the final satisfaction sweep.
 
-    ``queue`` is the round's explicit work deque: pending propagation
-    events, drained LIFO by :meth:`PropagationContext._drain` so that the
-    wavefront visits the network in the thesis's depth-first activation
-    order.  ``draining`` flags whether the drain loop is currently running
-    (events posted while it runs are picked up by it; events posted
-    outside — e.g. by a tool assigning during the satisfaction sweep — are
-    drained on the spot).  ``dispatch_mark`` is the queue length at the
-    start of the event dispatch currently executing; events above the mark
-    are the current dispatch's own postings.
+    ``stack`` holds the round's pending frames, drained LIFO by
+    :meth:`PropagationContext._drain`.  ``draining`` flags whether the
+    drain loop is running (frames posted while it runs are picked up by
+    it; frames posted outside — e.g. by a tool assigning during the
+    satisfaction sweep — are drained on the spot).  ``mark`` is the stack
+    height while the current step runs; frames above it are that step's
+    own postings.
+
+    The observer, tracer, control, step budget and plan recording in
+    force are captured once, when the round opens.
     """
 
-    __slots__ = ("visited", "changes", "visited_constraints",
-                 "_constraint_ids", "max_changes", "silent",
-                 "_tick", "set_ticks", "queue", "draining", "dispatch_mark",
-                 "budget", "steps", "deadline", "started", "visited_floor",
-                 "stats", "scheduler")
+    __slots__ = ("visited", "changes", "constraints", "max_changes",
+                 "silent", "_tick", "set_ticks", "stack", "draining", "mark",
+                 "visited_floor", "stats", "scheduler", "recording",
+                 "observer", "tracer", "control", "budget", "steps",
+                 "deadline", "started")
 
-    def __init__(self, max_changes: int, silent: bool = False) -> None:
+    def __init__(self, context: "PropagationContext",
+                 stats: "PropagationStats", scheduler: AgendaScheduler,
+                 silent: bool = False,
+                 budget: Optional["RoundBudget"] = None) -> None:
         self.visited: Dict[Any, Tuple[Justification, Any]] = {}
         self.changes: Dict[Any, int] = {}
-        self.visited_constraints: List[Any] = []
-        self._constraint_ids: set = set()
-        self.max_changes = max_changes
+        self.constraints: Dict[int, Any] = {}
+        self.max_changes = context.max_changes_per_variable
         self.silent = silent
         self._tick = 0
         self.set_ticks: Dict[Any, int] = {}
-        self.queue: Deque[Tuple[Any, ...]] = deque()
+        self.stack: List[Any] = []
         self.draining = False
-        self.dispatch_mark = 0
+        self.mark = 0
         #: Visited-count baseline of the current batch entry; the
         #: livelock cap in :meth:`may_recompute` measures round size
         #: from here so each entry of a batched round gets the same
         #: headroom a standalone round would.
         self.visited_floor = 0
-        # Watchdog state (see RoundBudget): dispatched-event count and,
-        # for wall-time budgets, the perf_counter deadline.
-        self.budget: Optional[RoundBudget] = None
+        #: Where this round's activity counts and agenda entries go: the
+        #: context's own for fused rounds, private ones for island rounds
+        #: (merged at the end, see ``_run_island_rounds``).
+        self.stats = stats
+        self.scheduler = scheduler
+        self.recording = context._plan_recording
+        self.observer = context.observer
+        self.tracer = context.tracer
+        self.control = context.control
+        # Watchdog state (see RoundBudget): steps taken and, for
+        # wall-time budgets, the perf_counter deadline.
+        self.budget = budget
         self.steps = 0
         self.deadline: Optional[float] = None
         self.started = 0.0
-        #: Where this round's activity counts and agenda entries go.
-        #: Context rounds alias the context's own stats/scheduler (set by
-        #: ``_round_scope``); island rounds carry private ones so several
-        #: rounds can drain concurrently and merge their effects at the
-        #: end (see ``_run_island_rounds``).
-        self.stats: Optional[PropagationStats] = None
-        self.scheduler: Optional[AgendaScheduler] = None
+        if budget is not None:
+            self.started = perf_counter()
+            if budget.max_seconds is not None:
+                self.deadline = self.started + budget.max_seconds
+
+    @property
+    def visited_constraints(self) -> List[Any]:
+        """Activated constraints in first-activation order."""
+        return list(self.constraints.values())
 
     def record_visit(self, variable: Any) -> None:
         if variable not in self.visited:
             self.visited[variable] = (variable.last_set_by,
                                       variable.raw_value)
-
-    def was_visited(self, variable: Any) -> bool:
-        return variable in self.visited
-
-    def times_changed(self, variable: Any) -> int:
-        return self.changes.get(variable, 0)
 
     def note_change(self, variable: Any) -> None:
         self.changes[variable] = self.changes.get(variable, 0) + 1
@@ -247,7 +260,7 @@ class _Round:
         change-counting state a standalone round would: the one-value-
         change rule, the transient-update ticks and the livelock cap all
         reset, while ``visited`` (pre-states for the atomic rollback) and
-        ``visited_constraints`` (the single final sweep) accumulate.
+        ``constraints`` (the single final sweep) accumulate.
         """
         self.changes.clear()
         self.set_ticks.clear()
@@ -266,7 +279,7 @@ class _Round:
         """
         if variable.source_constraint() is not constraint:
             return False
-        if self.times_changed(variable) >= \
+        if self.changes.get(variable, 0) >= \
                 len(self.visited) - self.visited_floor + 2:
             return False  # livelock guard for divergent cycles
         computed_at = self.set_ticks.get(variable, 0)
@@ -274,15 +287,28 @@ class _Round:
                    for argument in constraint.arguments
                    if argument is not variable)
 
-    def note_constraint(self, constraint: Any) -> None:
-        key = id(constraint)
-        if key not in self._constraint_ids:
-            self._constraint_ids.add(key)
-            self.visited_constraints.append(constraint)
+    def spend_step(self) -> None:
+        """The watchdog: count one step (a deterministic measure of
+        propagation work) and sample the clock every 32 steps for
+        wall-time budgets.  Both overruns abort through the normal
+        violation rollback."""
+        steps = self.steps = self.steps + 1
+        budget = self.budget
+        if steps > budget.max_steps:
+            raise BudgetExceeded(
+                steps=steps, elapsed=perf_counter() - self.started,
+                reason=(f"propagation exceeded its step budget "
+                        f"({int(budget.max_steps)} events)"))
+        if self.deadline is not None and not steps & 31 \
+                and perf_counter() > self.deadline:
+            raise BudgetExceeded(
+                steps=steps, elapsed=perf_counter() - self.started,
+                reason=(f"propagation exceeded its wall-time budget "
+                        f"({budget.max_seconds}s)"))
 
 
 class PropagationContext:
-    """Propagation state and event-queue wavefront engine for one
+    """Propagation state and frame-stack wavefront engine for one
     family of constraint networks.
 
     Parameters
@@ -313,7 +339,7 @@ class PropagationContext:
         self.tracer = None
         #: Optional :class:`repro.obs.observer.Observer` hub feeding the
         #: metrics registry, span recorder and hot-constraint profiler.
-        #: Costs one attribute check per dispatch while ``None``.
+        #: Costs one check per step while ``None``.
         self.observer = None
         #: Optional mutation recorder (``repro.session``): an object with a
         #: ``record_assign(variable, value, justification)`` method called
@@ -330,15 +356,14 @@ class PropagationContext:
         #: keys embed it, so any edit invalidates stale plans.
         self.topology_epoch = 0
         #: Optional :class:`RoundBudget` — the propagation watchdog.
-        #: While installed, every round is bounded in dispatched events
-        #: and/or wall time and aborts (with full rollback) via
+        #: While installed, every round is bounded in steps and/or wall
+        #: time and aborts (with full rollback) via
         #: :class:`~repro.core.violations.BudgetExceeded` when it
-        #: overruns.  Costs one attribute check per round plus one
-        #: pointer compare per dispatched event while ``None``.
+        #: overruns.  Costs one check per step while ``None``.
         self.round_budget: Optional[RoundBudget] = None
-        #: Active plan-cache trace recording, or ``None``.  Fed by
-        #: :meth:`propagated_assignment`; one attribute check per
-        #: propagated assignment while ``None``.
+        #: Plan-cache trace recording for the next round, or ``None``.
+        #: A round captures it at open and feeds it from
+        #: :meth:`propagated_assignment`.
         self._plan_recording = None
         #: Optional round-effect sink (``repro.spaces``): an object with
         #: ``absorb_visited(visited)`` called after every non-silent
@@ -469,29 +494,29 @@ class PropagationContext:
             raise RuntimeError("propagated assignment outside a propagation round")
         return rnd
 
-    @contextmanager
-    def _round_scope(self, silent: bool = False) -> Iterator[_Round]:
+    def _open_round(self, silent: bool = False) -> _Round:
         if self._round is not None:
             raise RuntimeError("propagation rounds do not nest")
-        rnd = _Round(self.max_changes_per_variable, silent=silent)
-        rnd.stats = self.stats
-        rnd.scheduler = self.scheduler
-        budget = self.round_budget
-        if budget is not None:
-            rnd.budget = budget
-            rnd.started = perf_counter()
-            if budget.max_seconds is not None:
-                rnd.deadline = rnd.started + budget.max_seconds
-        self._round = rnd
+        rnd = self._round = _Round(self, self.stats, self.scheduler, silent,
+                                   self.round_budget)
         self.stats.rounds += 1
+        return rnd
+
+    def _close_round(self, rnd: _Round) -> None:
+        self._round = None
+        self.scheduler.clear()
+        shadow = self.shadow
+        if shadow is not None and not rnd.silent and rnd.visited:
+            shadow.absorb_visited(rnd.visited)
+
+    @contextmanager
+    def _round_scope(self, silent: bool = False) -> Iterator[_Round]:
+        """Hold a round open around a block (for probing engine state)."""
+        rnd = self._open_round(silent)
         try:
             yield rnd
         finally:
-            self._round = None
-            self.scheduler.clear()
-            shadow = self.shadow
-            if shadow is not None and not silent and rnd.visited:
-                shadow.absorb_visited(rnd.visited)
+            self._close_round(rnd)
 
     @contextmanager
     def propagation_disabled(self) -> Iterator[None]:
@@ -545,67 +570,25 @@ class PropagationContext:
         self.stats.external_assignments += 1
         if self.tracer is not None:
             self._trace("round-start", variable, f"set to {value!r}")
-        observer = self.observer
-        if observer is not None:
-            observer.round_started("assign", variable)
-        outcome = "error"
-        rnd = None
-        try:
-            with self._round_scope() as rnd:
-                rnd.record_visit(variable)
-                variable._store(value, justification)
-                rnd.note_change(variable)
-                queue = rnd.queue
-                queue.append((_DRAIN_AGENDAS,))
-                queue.append((_VARIABLE_CHANGED, variable, None))
-                try:
-                    variable.on_stored_by_assignment()
-                    self._drain(rnd)
-                    self.check_visited_constraints()
-                except PropagationViolation as signal:
-                    self._abort_round(rnd, signal)
-                    outcome = signal.kind
-                    return False
-                except BaseException:
-                    # A defective constraint implementation must not leave
-                    # the network half-updated: restore, then re-raise.
-                    self._restore(rnd)
-                    if observer is not None:
-                        observer.restored(len(rnd.visited), "error")
-                    raise
-            outcome = "ok"
-        finally:
-            recording = self._plan_recording
-            if recording is not None:
-                self._plan_recording = None
-                recording.cache.finish_recording(recording, rnd,
-                                                 outcome == "ok")
-            if observer is not None:
-                observer.round_finished(outcome)
+        if not self._run_round("assign", variable,
+                               ((variable, value, justification),)):
+            return False
         self._trace("round-end", variable)
         return True
 
     def _in_round_external_assignment(self, variable: Any, value: Any,
                                       justification: Justification) -> None:
         rnd = self.require_round()
-        recording = self._plan_recording
-        if recording is not None:
+        if rnd.recording is not None:
             # A tool assigned mid-round: the round's shape depends on
             # state a straight-line plan cannot guard.  Never cache it.
-            recording.poison("in-round external assignment")
+            rnd.recording.poison("in-round external assignment")
         rnd.stats.external_assignments += 1
         rnd.record_visit(variable)
         variable._store(value, justification)
         rnd.note_change(variable)
-        watermark = len(rnd.queue)
-        rnd.queue.append((_VARIABLE_CHANGED, variable, None))
-        variable.on_stored_by_assignment()
-        if not rnd.draining:
-            # Assignment from outside the wavefront loop (e.g. a property
-            # recalculation triggered by the satisfaction sweep): spread
-            # on the spot.  Agenda entries it schedules stay scheduled,
-            # for an enclosing drain to pick up.
-            self._drain(rnd, watermark)
+        self._post(rnd, [_CHANGED, variable, None],
+                   variable.on_stored_by_assignment)
 
     def assign_many(self, assignments: Any,
                     justification: Justification = USER) -> bool:
@@ -614,14 +597,13 @@ class PropagationContext:
         ``assignments`` is an iterable of ``(variable, value)`` pairs or
         ``(variable, value, justification)`` triples; pairs take the
         call's ``justification``.  The batch runs inside a single
-        :class:`_Round`: entries are seeded into the event queue in
-        order, each entry's wavefront drains before the next entry
-        stores (per-entry change bookkeeping resets, so values and
-        justifications match applying the entries one-by-one), and one
-        satisfaction sweep runs over every visited constraint at the
-        end.  A violation anywhere rolls **all** entries back atomically
-        and returns False; an installed :class:`RoundBudget` covers the
-        whole batch.
+        :class:`_Round`: entries are seeded in order, each entry's
+        wavefront drains before the next entry stores (per-entry change
+        bookkeeping resets, so values and justifications match applying
+        the entries one-by-one), and one satisfaction sweep runs over
+        every visited constraint at the end.  A violation anywhere rolls
+        **all** entries back atomically and returns False; an installed
+        :class:`RoundBudget` covers the whole batch.
 
         Redundant same-variable entries are coalesced before seeding
         (last write wins, taking the last occurrence's position), and
@@ -712,49 +694,97 @@ class PropagationContext:
             batch_hook = getattr(observer, "batch_submitted", None)
             if batch_hook is not None:
                 batch_hook(len(entries) + dropped, dropped)
-            observer.round_started("batch", first)
+        if not self._run_round("batch", first, entries):
+            return False
+        self._trace("round-end", first)
+        return True
+
+    def _run_round(self, kind: str, subject: Any, entries: Any,
+                   repropagate: Any = None) -> bool:
+        """One fused round from open to teardown — the body every entry
+        point shares.  ``kind`` is ``"assign"``, ``"batch"``, ``"probe"``
+        (silent, always restored, no store hooks) or ``"repropagate"``
+        (``repropagate`` is the edited constraint, ``entries`` empty).
+
+        A violation is reported and restored (:meth:`_abort_round`) and
+        gives False; any other exception restores and re-raises, so a
+        defective constraint never leaves the network half-updated.
+        """
+        probe = kind == "probe"
+        observer = self.observer
+        if observer is not None:
+            observer.round_started(kind, subject)
         outcome = "error"
         rnd = None
         try:
-            with self._round_scope() as rnd:
-                try:
-                    queue = rnd.queue
-                    recording = self._plan_recording
-                    for variable, value, just in entries:
-                        rnd.begin_entry()
-                        if recording is not None:
-                            recording.note_entry(variable, value)
-                        rnd.record_visit(variable)
-                        variable._store(value, just)
-                        rnd.note_change(variable)
-                        queue.append((_DRAIN_AGENDAS,))
-                        queue.append((_VARIABLE_CHANGED, variable, None))
-                        variable.on_stored_by_assignment()
-                        self._drain(rnd)
-                        # A poisoning in-round assignment may have
-                        # replaced the recording reference; re-read it.
-                        recording = self._plan_recording
-                    self.check_visited_constraints()
-                except PropagationViolation as signal:
+            rnd = self._open_round(silent=probe)
+            try:
+                if repropagate is not None:
+                    rnd.stack.append([_REPROPAGATE, repropagate, None])
+                    self._drain(rnd)
+                self._propagate(rnd, entries, kind == "batch", not probe)
+                outcome = "ok"
+            except PropagationViolation as signal:
+                if probe:
+                    outcome = "violation"
+                else:
                     self._abort_round(rnd, signal)
                     outcome = signal.kind
-                    return False
-                except BaseException:
+            except BaseException:
+                if not probe:
                     self._restore(rnd)
                     if observer is not None:
                         observer.restored(len(rnd.visited), "error")
-                    raise
-            outcome = "ok"
+                raise
+            finally:
+                if probe:
+                    self._restore(rnd)
+                    if observer is not None:
+                        observer.restored(len(rnd.visited), "probe")
+                self._close_round(rnd)
         finally:
             recording = self._plan_recording
-            if recording is not None:
+            if recording is not None and (kind == "assign"
+                                          or kind == "batch"):
                 self._plan_recording = None
                 recording.cache.finish_recording(recording, rnd,
                                                  outcome == "ok")
             if observer is not None:
                 observer.round_finished(outcome)
-        self._trace("round-end", first)
-        return True
+        return outcome == "ok"
+
+    def _propagate(self, rnd: _Round, entries: Any, batch: bool = True,
+                   hooks: bool = True) -> None:
+        """Seed each entry and drain its wavefront, then sweep once.
+
+        Raises :class:`PropagationViolation` with the round's effects in
+        place; the caller owns restoring them.
+        """
+        stack = rnd.stack
+        recording = rnd.recording if batch else None
+        for variable, value, justification in entries:
+            rnd.begin_entry()
+            if recording is not None:
+                recording.note_entry(variable, value)
+            rnd.record_visit(variable)
+            variable._store(value, justification)
+            rnd.note_change(variable)
+            stack.append(_BARRIER_FRAME)
+            stack.append([_CHANGED, variable, None])
+            if hooks:
+                variable.on_stored_by_assignment()
+            self._drain(rnd)
+        control = rnd.control
+        stats = rnd.stats
+        for constraint in list(rnd.constraints.values()):
+            if control is not None and not control.allows(constraint):
+                continue
+            stats.satisfaction_checks += 1
+            if not constraint.is_satisfied():
+                raise PropagationViolation(
+                    constraint=constraint,
+                    reason=f"constraint unsatisfied after propagation: "
+                           f"{constraint!r}")
 
     # -- island-structured batches (repro.core.islands) ---------------------
 
@@ -821,9 +851,9 @@ class PropagationContext:
                         if state.plan is not None:
                             state = None  # foreign plan on the key
                 pending.append((group, state))
-            # At most one island per batch records a trace (the recording
-            # slot is context-global), drained inline in this thread
-            # before anything reaches the executor.
+            # At most one island per batch records a trace (one recording
+            # per batch, as in the fused round), drained inline in this
+            # thread before anything reaches the executor.
             recording = None
             rest = []
             for group, state in pending:
@@ -913,41 +943,21 @@ class PropagationContext:
         """Drain one island's slice of a batch as a private round.
 
         Runs in the calling thread or an executor worker.  All effects
-        are round-local: private stats, a private agenda scheduler, and
-        the round itself bound thread-locally so constraints firing
-        inside the wavefront find *their* island's round.  The round is
-        **not** restored on violation or error — the caller owns the
-        whole-batch rollback — and no handler or observer violation
-        event fires here (the fused fallback rerun is authoritative).
+        are round-local: private stats, a private agenda scheduler, the
+        island's own trace recording (if any), and the round itself bound
+        thread-locally so constraints firing inside the wavefront find
+        *their* island's round.  The round is **not** restored on
+        violation or error — the caller owns the whole-batch rollback —
+        and no handler or observer violation event fires here (the fused
+        fallback rerun is authoritative).
         """
-        rnd = _Round(self.max_changes_per_variable)
-        rnd.stats = stats
         scheduler = AgendaScheduler(self.scheduler.priority_order)
         scheduler.observer = self.scheduler.observer
-        rnd.scheduler = scheduler
-        installed = recording is not None
-        if installed:
-            self._plan_recording = recording
+        rnd = _Round(self, stats, scheduler)
+        rnd.recording = recording
         local.round = rnd
         try:
-            queue = rnd.queue
-            for variable, value, just in group:
-                rnd.begin_entry()
-                if recording is not None:
-                    recording.note_entry(variable, value)
-                rnd.record_visit(variable)
-                variable._store(value, just)
-                rnd.note_change(variable)
-                queue.append((_DRAIN_AGENDAS,))
-                queue.append((_VARIABLE_CHANGED, variable, None))
-                variable.on_stored_by_assignment()
-                self._drain(rnd)
-                if recording is not None:
-                    # A poisoning in-round assignment may have replaced
-                    # the recording reference; re-read it (as the fused
-                    # batched round does).
-                    recording = self._plan_recording
-            self.check_visited_constraints()
+            self._propagate(rnd, group)
             return ("ok", rnd, None)
         except PropagationViolation as signal:
             return ("violation", rnd, signal)
@@ -955,8 +965,6 @@ class PropagationContext:
             return ("error", rnd, error)
         finally:
             local.round = None
-            if installed:
-                self._plan_recording = None
 
     def probe(self, variable: Any, value: Any,
               justification: Justification = TENTATIVE) -> bool:
@@ -974,33 +982,8 @@ class PropagationContext:
             return True
         if self.current_round is not None:
             raise RuntimeError("cannot probe while propagation is running")
-        observer = self.observer
-        if observer is not None:
-            observer.round_started("probe", variable)
-        ok = True
-        outcome = "error"
-        try:
-            with self._round_scope(silent=True) as rnd:
-                rnd.record_visit(variable)
-                variable._store(value, justification)
-                rnd.note_change(variable)
-                queue = rnd.queue
-                queue.append((_DRAIN_AGENDAS,))
-                queue.append((_VARIABLE_CHANGED, variable, None))
-                try:
-                    self._drain(rnd)
-                    self.check_visited_constraints()
-                except PropagationViolation:
-                    ok = False
-                finally:
-                    self._restore(rnd)
-                    if observer is not None:
-                        observer.restored(len(rnd.visited), "probe")
-            outcome = "ok" if ok else "violation"
-        finally:
-            if observer is not None:
-                observer.round_finished(outcome)
-        return ok
+        return self._run_round("probe", variable,
+                               ((variable, value, justification),))
 
     def repropagate_constraint(self, constraint: Any) -> bool:
         """Re-initialise a constraint's variables after network editing.
@@ -1012,93 +995,76 @@ class PropagationContext:
         """
         if not self.enabled:
             return True
-        if self.current_round is not None:
+        rnd = self.current_round
+        if rnd is not None:
             # Constraint created while a round runs (e.g. by a compiler
             # invoked from propagation): its repropagation joins the
-            # active round's queue.
-            rnd = self.require_round()
-            recording = self._plan_recording
-            if recording is not None:
-                recording.poison("in-round constraint repropagation")
-            watermark = len(rnd.queue)
-            rnd.queue.append((_REPROPAGATE, constraint, None))
-            if not rnd.draining:
-                self._drain(rnd, watermark)
+            # active round.
+            if rnd.recording is not None:
+                rnd.recording.poison("in-round constraint repropagation")
+            self._post(rnd, [_REPROPAGATE, constraint, None])
             return True
-        observer = self.observer
-        if observer is not None:
-            observer.round_started("repropagate", constraint)
-        outcome = "error"
-        try:
-            with self._round_scope() as rnd:
-                rnd.queue.append((_REPROPAGATE, constraint, None))
-                try:
-                    self._drain(rnd)
-                    self.check_visited_constraints()
-                except PropagationViolation as signal:
-                    self._abort_round(rnd, signal)
-                    outcome = signal.kind
-                    return False
-                except BaseException:
-                    self._restore(rnd)
-                    if observer is not None:
-                        observer.restored(len(rnd.visited), "error")
-                    raise
-            outcome = "ok"
-        finally:
-            if observer is not None:
-                observer.round_finished(outcome)
-        return True
+        return self._run_round("repropagate", constraint, (), constraint)
 
     # -- the wavefront loop ------------------------------------------------
 
     def _drain(self, rnd: _Round, watermark: int = 0) -> None:
-        """Dispatch queued events (LIFO) until ``len(queue) == watermark``.
+        """Take steps off the frame stack (LIFO) until its height is
+        back at ``watermark``.
 
         This loop is the whole propagation process: the single site where
         constraints are activated, scheduled inference runs and stats and
-        traces for constraint activity are recorded.  LIFO order, with
-        each dispatch posting its events first-posted-on-top, reproduces
-        the recursive engine's depth-first activation order exactly —
-        with constant interpreter stack depth however deep the network.
+        traces for constraint activity are recorded.  One step is one
+        changed-variable snapshot, one constraint activation, one visit
+        of the agenda barrier or one repropagation visit — the unit a
+        :class:`RoundBudget` counts.  Frames posted while a step runs
+        pop before the step's own frame continues, which reproduces the
+        recursive engine's depth-first activation order exactly — with
+        constant interpreter stack depth however deep the network.
         """
-        queue = rnd.queue
+        stack = rnd.stack
         stats = rnd.stats
-        scheduler = rnd.scheduler
-        observer = self.observer
+        seen = rnd.constraints
+        pop_entry = rnd.scheduler.remove_highest_priority_entry
+        observer = rnd.observer
+        control = rnd.control
         budget = rnd.budget
         previous_draining = rnd.draining
-        previous_mark = rnd.dispatch_mark
+        previous_mark = rnd.mark
         rnd.draining = True
         try:
-            while len(queue) > watermark:
+            while len(stack) > watermark:
                 if budget is not None:
-                    # The watchdog: count every dispatched event (a
-                    # deterministic measure of propagation work) and
-                    # sample the clock every 32 events for wall-time
-                    # budgets.  Both overruns abort through the normal
-                    # violation rollback.
-                    steps = rnd.steps = rnd.steps + 1
-                    if steps > budget.max_steps:
-                        raise BudgetExceeded(
-                            steps=steps,
-                            elapsed=perf_counter() - rnd.started,
-                            reason=(f"propagation exceeded its step "
-                                    f"budget ({int(budget.max_steps)} "
-                                    f"events)"))
-                    if rnd.deadline is not None and not steps & 31 \
-                            and perf_counter() > rnd.deadline:
-                        raise BudgetExceeded(
-                            steps=steps,
-                            elapsed=perf_counter() - rnd.started,
-                            reason=(f"propagation exceeded its wall-time "
-                                    f"budget ({budget.max_seconds}s)"))
-                event = queue.pop()
-                rnd.dispatch_mark = len(queue)
-                kind = event[0]
+                    rnd.spend_step()
+                frame = stack[-1]
+                kind = frame[0]
+                if kind is _CHANGED:
+                    # Snapshot the activations now, in reverse so the
+                    # first constraint pops first; the first activation
+                    # is the next step, taken in this same pass.
+                    exclude = frame[2]
+                    pending = []
+                    for constraint in reversed(frame[1].all_constraints()):
+                        if constraint is not exclude and (
+                                control is None or control.allows(constraint)):
+                            pending.append(constraint)
+                    if not pending:
+                        stack.pop()
+                        continue
+                    frame[0] = kind = _ACTIVATE
+                    frame[2] = pending
+                    if budget is not None:
+                        rnd.spend_step()
                 if kind is _ACTIVATE:
-                    constraint, variable = event[1], event[2]
-                    rnd.note_constraint(constraint)
+                    pending = frame[2]
+                    constraint = pending.pop()
+                    if not pending:
+                        stack.pop()
+                    rnd.mark = len(stack)
+                    variable = frame[1]
+                    key = id(constraint)
+                    if key not in seen:
+                        seen[key] = constraint
                     stats.constraint_activations += 1
                     if observer is None:
                         constraint.propagate_variable(variable)
@@ -1108,29 +1074,25 @@ class PropagationContext:
                             constraint.propagate_variable(variable)
                         finally:
                             observer.activation(constraint, variable, t0,
-                                                perf_counter(), len(queue))
-                elif kind is _VARIABLE_CHANGED:
-                    variable, exclude = event[1], event[2]
-                    allows = self._allows
-                    # reversed: the first constraint pops (activates) first
-                    for constraint in reversed(variable.all_constraints()):
-                        if constraint is exclude or not allows(constraint):
-                            continue
-                        queue.append((_ACTIVATE, constraint, variable))
-                elif kind is _DRAIN_AGENDAS:
-                    entry = scheduler.remove_highest_priority_entry()
-                    while entry is not None and not self._allows(entry[0]):
-                        entry = scheduler.remove_highest_priority_entry()
+                                                perf_counter(), len(stack))
+                elif kind is _BARRIER:
+                    entry = pop_entry()
+                    while entry is not None and control is not None \
+                            and not control.allows(entry[0]):
+                        entry = pop_entry()
                     if entry is None:
-                        continue  # agendas empty: the barrier dissolves
-                    # Re-arm below the inference's events: the next entry
-                    # pops only after this inference's wavefront finishes.
-                    queue.append(event)
-                    rnd.dispatch_mark = len(queue)
+                        stack.pop()  # agendas empty: the barrier dissolves
+                        continue
+                    # The barrier stays below the inference's frames: the
+                    # next entry pops only after this wavefront finishes.
+                    rnd.mark = len(stack)
                     constraint, variable = entry
-                    rnd.note_constraint(constraint)
+                    key = id(constraint)
+                    if key not in seen:
+                        seen[key] = constraint
                     stats.inference_runs += 1
-                    self._trace("infer", constraint)
+                    if rnd.tracer is not None:
+                        rnd.tracer.record("infer", constraint, "")
                     if observer is None:
                         constraint.propagate_scheduled(variable)
                     else:
@@ -1140,56 +1102,63 @@ class PropagationContext:
                         finally:
                             observer.inference(constraint, variable, t0,
                                                perf_counter())
-                else:  # _REPROPAGATE
-                    self._dispatch_repropagate(rnd, event[1], event[2])
+                else:
+                    self._repropagate_step(rnd, frame)
         finally:
             rnd.draining = previous_draining
-            rnd.dispatch_mark = previous_mark
+            rnd.mark = previous_mark
 
-    def _dispatch_repropagate(self, rnd: _Round, constraint: Any,
-                              remaining: Optional[List[Any]]) -> None:
+    def _repropagate_step(self, rnd: _Round, frame: List[Any]) -> None:
         """One argument of an edited constraint asserts its value.
 
-        The precedence order is snapshot on the first dispatch; each
-        dispatch propagates the next still-unvisited argument, then
-        requeues itself *below* an agenda drain, so the argument's
-        wavefront and any scheduled inference complete before the next
-        argument is examined (the per-argument ``drain_agendas`` of the
-        recursive engine).
+        The precedence order is snapshot on the first visit; each visit
+        propagates the next still-unvisited argument under a fresh agenda
+        barrier, so the argument's wavefront and any scheduled inference
+        complete before the next argument is examined (the per-argument
+        ``drain_agendas`` of the recursive engine).
         """
+        stack = rnd.stack
+        constraint, remaining = frame[1], frame[2]
         if remaining is None:
-            if not self._allows(constraint):
+            control = rnd.control
+            if control is not None and not control.allows(constraint):
+                stack.pop()
                 return
-            rnd.note_constraint(constraint)
-            remaining = _precedence_ordered(constraint.arguments)
-        queue = rnd.queue
+            rnd.constraints.setdefault(id(constraint), constraint)
+            remaining = frame[2] = _precedence_ordered(constraint.arguments)
         while remaining:
             argument = remaining.pop(0)
-            if rnd.was_visited(argument):
+            if argument in rnd.visited:
                 continue
             rnd.record_visit(argument)
             rnd.stats.constraint_activations += 1
-            queue.append((_REPROPAGATE, constraint, remaining))
-            queue.append((_DRAIN_AGENDAS,))
-            rnd.dispatch_mark = len(queue)
+            stack.append(_BARRIER_FRAME)
+            rnd.mark = len(stack)
             constraint.propagate_variable(argument)
             return
+        stack.pop()
 
     # -- propagation machinery --------------------------------------------
 
+    def _post(self, rnd: _Round, frame: Any, hook: Any = None) -> None:
+        """Push ``frame`` (then run ``hook``); from outside the drain
+        loop, drain it on the spot."""
+        watermark = len(rnd.stack)
+        rnd.stack.append(frame)
+        if hook is not None:
+            hook()
+        if not rnd.draining:
+            self._drain(rnd, watermark)
+
     def spread(self, variable: Any, exclude: Any = None) -> None:
-        """Enqueue activation of every constraint of a changed variable.
+        """Activate every constraint of a changed variable.
 
         ``exclude`` is the constraint that produced the change, which must
         not be re-activated (``setTo:constraint:justification:``).  The
-        activations dispatch from the round's queue; when called from
-        outside the wavefront loop the queue is drained immediately.
+        activations run from the round's stack; when called from outside
+        the wavefront loop they run immediately.
         """
-        rnd = self.require_round()
-        watermark = len(rnd.queue)
-        rnd.queue.append((_VARIABLE_CHANGED, variable, exclude))
-        if not rnd.draining:
-            self._drain(rnd, watermark)
+        self._post(self.require_round(), [_CHANGED, variable, exclude])
 
     def schedule(self, constraint: Any, variable: Any = None, *,
                  agenda: str) -> None:
@@ -1199,15 +1168,16 @@ class PropagationContext:
         5.1.2): counts the attempt, traces it, and queues the entry —
         duplicates are rejected by the agenda itself.
         """
-        rnd = self.current_round
-        stats = self.stats if rnd is None else rnd.stats
-        scheduler = self.scheduler if rnd is None else rnd.scheduler
-        stats.scheduled_entries += 1
-        self._trace("schedule", constraint)
-        observer = self.observer
-        if observer is not None:
-            observer.scheduled(constraint, agenda)
-        scheduler.schedule(constraint, variable, agenda=agenda)
+        rnd = self._round if self._island_rounds is None \
+            else self.current_round
+        if rnd is None:
+            rnd = self  # outside rounds: the context's own instruments
+        rnd.stats.scheduled_entries += 1
+        if rnd.tracer is not None:
+            rnd.tracer.record("schedule", constraint, "")
+        if rnd.observer is not None:
+            rnd.observer.scheduled(constraint, agenda)
+        rnd.scheduler.schedule(constraint, variable, agenda)
 
     def propagated_assignment(self, variable: Any, value: Any,
                               constraint: Any, justification: Justification) -> None:
@@ -1216,74 +1186,72 @@ class PropagationContext:
         Applies the termination criteria of section 4.2.2 before storing:
         an agreeing value stops the wavefront silently; a disagreeing value
         on a protected or already-changed variable raises a violation.
-        The change's spread is posted to the round's queue rather than
-        propagated by re-entering the engine.
+        The change is posted to the round's stack rather than propagated
+        by re-entering the engine.
         """
-        rnd = self.require_round()
-        if rnd.draining and len(rnd.queue) > rnd.dispatch_mark:
+        rnd = self._round if self._island_rounds is None \
+            else self.current_round
+        if rnd is None:
+            raise RuntimeError("propagated assignment outside a propagation round")
+        stack = rnd.stack
+        if rnd.draining and len(stack) > rnd.mark:
             # A constraint assigning its second value within one inference
             # run: finish the first value's wavefront before this store,
             # exactly as the recursive engine's nested message sends did
             # (E2's transient-update accounting depends on it).
-            self._drain(rnd, rnd.dispatch_mark)
+            self._drain(rnd, rnd.mark)
         decision = variable.classify_propagated(value, constraint)
         if decision == "ignore":
             rnd.stats.ignored_propagations += 1
-            recording = self._plan_recording
-            if recording is not None:
-                recording.note_ignore(variable, value, constraint,
-                                      justification)
-            if self.tracer is not None:
-                self._trace("ignore", variable, f"{value!r} agrees/defers")
+            if rnd.recording is not None:
+                rnd.recording.note_ignore(variable, value, constraint,
+                                          justification)
+            if rnd.tracer is not None:
+                rnd.tracer.record("ignore", variable,
+                                  f"{value!r} agrees/defers")
             return
-        if rnd.times_changed(variable) >= rnd.max_changes \
+        changes = rnd.changes
+        count = changes.get(variable, 0)
+        if count >= rnd.max_changes \
                 and not rnd.may_recompute(variable, constraint):
             raise PropagationViolation(
                 variable=variable, constraint=constraint, attempted_value=value,
-                reason=(f"variable already changed {rnd.times_changed(variable)} "
+                reason=(f"variable already changed {count} "
                         f"time(s) this round (one-value-change rule)"))
         if decision == "violate":
             raise PropagationViolation(
                 variable=variable, constraint=constraint, attempted_value=value,
                 reason=(f"propagated value {value!r} conflicts with "
                         f"{variable.last_set_by!r} value {variable.value!r}"))
-        rnd.record_visit(variable)
+        visited = rnd.visited
+        if variable not in visited:
+            visited[variable] = (variable.last_set_by, variable.raw_value)
         variable._store(value, justification)
-        rnd.note_change(variable)
+        changes[variable] = count + 1
+        tick = rnd._tick = rnd._tick + 1
+        rnd.set_ticks[variable] = tick
         rnd.stats.propagated_assignments += 1
-        recording = self._plan_recording
-        if recording is not None:
-            recording.note_write(variable, value, constraint, justification)
-        if self.tracer is not None:
-            self._trace("store", variable, f":= {value!r} by {constraint!r}")
-        watermark = len(rnd.queue)
-        rnd.queue.append((_VARIABLE_CHANGED, variable, constraint))
+        if rnd.recording is not None:
+            rnd.recording.note_write(variable, value, constraint,
+                                     justification)
+        if rnd.tracer is not None:
+            rnd.tracer.record("store", variable,
+                              f":= {value!r} by {constraint!r}")
+        watermark = len(stack)
+        stack.append([_CHANGED, variable, constraint])
         variable.on_stored_by_assignment()
         if not rnd.draining:
             self._drain(rnd, watermark)
 
     def drain_agendas(self) -> None:
-        """Enqueue an agenda drain: scheduled constraints propagate until
+        """Post an agenda barrier: scheduled constraints propagate until
         all agendas are empty, each entry's wavefront finishing before the
         next pops."""
-        rnd = self.require_round()
-        watermark = len(rnd.queue)
-        rnd.queue.append((_DRAIN_AGENDAS,))
-        if not rnd.draining:
-            self._drain(rnd, watermark)
+        self._post(self.require_round(), _BARRIER_FRAME)
 
     def check_visited_constraints(self) -> None:
         """Final sweep: every visited constraint must be satisfied."""
-        rnd = self.require_round()
-        for constraint in list(rnd.visited_constraints):
-            if not self._allows(constraint):
-                continue
-            rnd.stats.satisfaction_checks += 1
-            if not constraint.is_satisfied():
-                raise PropagationViolation(
-                    constraint=constraint,
-                    reason=f"constraint unsatisfied after propagation: "
-                           f"{constraint!r}")
+        self._propagate(self.require_round(), ())  # no entries: sweep only
 
     # -- violation handling -------------------------------------------------
 
@@ -1320,7 +1288,7 @@ class PropagationContext:
                 observer.restored(len(rnd.visited), "violation")
             self._trace("restore", None,
                         f"{len(rnd.visited)} variable(s) restored")
-            rnd.queue.clear()
+            rnd.stack.clear()
             rnd.scheduler.clear()
 
     def _restore(self, rnd: _Round) -> None:

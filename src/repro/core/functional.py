@@ -48,33 +48,36 @@ class FunctionalConstraint(Constraint):
         return self._arguments[1:]
 
     def permits_changes_by(self, variable: Any) -> bool:
-        return variable is not self.result_variable
+        return variable is not self._arguments[0]
 
     def compute(self, values: List[Any]) -> Any:
         """The functional mapping; subclasses implement."""
         raise NotImplementedError
 
     def _input_values(self) -> Optional[List[Any]]:
-        values = [variable.value for variable in self.inputs]
-        if any(value is None for value in values):
-            return None
+        # Every input is read (a lazy property variable recalculates on
+        # read) before incompleteness is decided.
+        values = [variable.value for variable in self._arguments[1:]]
+        for value in values:
+            if value is None:
+                return None
         return values
 
     def immediate_inference_by_changing(self, variable: Any) -> None:
         values = self._input_values()
         if values is None:
             return  # incomplete inputs: nothing to infer yet
-        result = self.compute(values)
         # Null dependency record: the result implicitly depends on every
         # input (section 4.2.4).
-        self.result_variable.set_propagated(result, self, dependency_record=None)
+        self._arguments[0].set_propagated(self.compute(values), self)
 
     def is_satisfied(self) -> bool:
         values = self._input_values()
-        result = self.result_variable
-        if values is None or result.value is None:
+        result = self._arguments[0]
+        current = result.value
+        if values is None or current is None:
             return True
-        return result.values_equal(result.value, self.compute(values))
+        return result.values_equal(current, self.compute(values))
 
     def plan_derivation(self, target: Any, changed: Any):
         """Plan-cache certification: recompute the result from live inputs."""

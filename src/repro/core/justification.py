@@ -134,5 +134,5 @@ def may_overwrite(current: Justification) -> bool:
     propagation.
     """
     if isinstance(current, ExternalJustification):
-        return current.name not in _PROTECTED
+        return current._name not in _PROTECTED
     return True

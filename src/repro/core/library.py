@@ -42,16 +42,15 @@ class EqualityConstraint(Constraint):
         if new_value is None:
             return
         for argument in self._arguments:
-            if argument is variable:
-                continue
-            argument.set_propagated(new_value, self, dependency_record=variable)
+            if argument is not variable:
+                argument.set_propagated(new_value, self, variable)
 
     def is_satisfied(self) -> bool:
         values = self.non_nil_values()
-        if len(values) < 2:
-            return True
-        first = values[0]
-        return all(value == first for value in values[1:])
+        for value in values[1:]:
+            if not value == values[0]:
+                return False
+        return True
 
     def test_membership_of(self, variable: Any, dependency_record: Any) -> bool:
         return dependency_record is variable

@@ -23,7 +23,7 @@ by ``(entry variable, topology epoch)``:
   the final satisfaction sweep).  Two identical trace *shapes* promote
   the key to a :class:`PropagationPlan`.
 
-A plan replays the recorded writes directly — no event queue, no agendas,
+A plan replays the recorded writes directly — no frame stack, no agendas,
 no visited bookkeeping — but every step re-derives its value from the
 *current* network state and checks the guards:
 

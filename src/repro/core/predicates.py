@@ -27,8 +27,9 @@ class PredicateConstraint(Constraint):
 
     def is_satisfied(self) -> bool:
         values = [variable.value for variable in self._arguments]
-        if any(value is None for value in values):
-            return True
+        for value in values:
+            if value is None:
+                return True
         return self.holds_for(values)
 
 

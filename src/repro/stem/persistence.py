@@ -20,7 +20,6 @@ from typing import Any, Dict, List, Optional
 
 from ..core.engine import PropagationContext
 from ..core.justification import (
-    APPLICATION,
     DEFAULT,
     ExternalJustification,
     USER,
@@ -111,7 +110,7 @@ def _serialize_valued(value: Any, justification: Any) -> Optional[Dict[str, Any]
 
 
 def _serialize_signal(signal: Any) -> Dict[str, Any]:
-    return {
+    data = {
         "name": signal.name,
         "direction": signal.direction,
         "data_type": _type_name(signal.data_type_var.value),
@@ -125,6 +124,12 @@ def _serialize_signal(signal: Any) -> Dict[str, Any]:
         "pins": [{"side": pin.side, "position": pin.position}
                  for pin in signal.pins],
     }
+    for key, variable in (("data_type", signal.data_type_var),
+                          ("electrical_type", signal.electrical_type_var)):
+        if data[key] is not None:
+            data[key + "_justification"] = _justification_name(
+                variable.last_set_by)
+    return data
 
 
 def _serialize_parameter(name: str, parameter: Any) -> Dict[str, Any]:
@@ -311,10 +316,14 @@ def _load_signal(cell: CellClass, data: Dict[str, Any]) -> None:
             max_load_capacitance=data.get("max_load_capacitance"),
             max_fanout=data.get("max_fanout"),
             pins=pins)
-    signal.data_type_var._store(_type_from_name(data.get("data_type")),
-                                APPLICATION)
-    signal.electrical_type_var._store(
-        _type_from_name(data.get("electrical_type")), APPLICATION)
+    for key, variable in (("data_type", signal.data_type_var),
+                          ("electrical_type", signal.electrical_type_var)):
+        # An unset type has no justification; files written before the
+        # justification was kept load a set type as #APPLICATION.
+        name = data.get(key)
+        variable._store(_type_from_name(name), None if name is None else
+                        _justification_from(data.get(key + "_justification",
+                                                     "APPLICATION")))
     width = data.get("bit_width")
     if width is not None:
         signal.bit_width_var._store(

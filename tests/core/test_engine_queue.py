@@ -1,6 +1,6 @@
 """Wavefront-engine contracts: queue iteration, stats, restore paths.
 
-The engine drives propagation from an explicit per-round event queue
+The engine drives propagation from an explicit per-round frame stack
 instead of interpreter recursion.  These tests pin down the behaviours
 that the queue design must guarantee beyond the ordering semantics the
 rest of the suite already asserts: iteration depth independent of the C

@@ -127,3 +127,39 @@ def test_acknowledged_means_durable_even_without_close(tmp_path):
     del session  # no close(), no flush beyond what append guarantees
     with Session("t", directory=str(tmp_path), read_only=True) as recovered:
         assert recovered.get("v:x")[0] == 42
+
+
+class TestSignalTypesAcrossCheckpoint:
+    """A checkpoint taken after io-signals exist recovers the typing
+    variables' justifications, not just their values."""
+
+    @staticmethod
+    def recovered_fingerprints(tmp_path, typed):
+        from repro.stem.types import INTEGER_SIGNAL
+
+        directory = str(tmp_path / "typed")
+        session = Session("typed", directory=directory, fsync="never")
+        session.define_cell("A")
+        session.define_signal("A", "i", "in")
+        session.define_signal("A", "o", "out")
+        if typed:
+            assert session.assign("c:A:i.dataType", INTEGER_SIGNAL)
+        session.checkpoint()
+        live = session.fingerprint()
+        session.close()
+        reopened = Session("typed", directory=directory, fsync="never")
+        try:
+            return live, reopened.fingerprint()
+        finally:
+            reopened.close()
+
+    def test_unset_types_recover_unset(self, tmp_path):
+        live, recovered = self.recovered_fingerprints(tmp_path, False)
+        assert recovered == live
+        assert live["variables"]["c:A:o.dataType"] == {"value": None,
+                                                       "just": None}
+
+    def test_designer_type_recovers_as_user(self, tmp_path):
+        live, recovered = self.recovered_fingerprints(tmp_path, True)
+        assert recovered == live
+        assert recovered["variables"]["c:A:i.dataType"]["just"] == "#USER"

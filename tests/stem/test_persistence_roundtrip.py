@@ -139,3 +139,52 @@ class TestRepairedFields:
         assert u1.parameter_value("w") == 5
         assert (None, "in1") in top.net("n0").endpoints
         assert (u1, "z") in top.net("n1").endpoints
+
+
+class TestSignalTypeJustifications:
+    """Typing variables keep their justification across a round trip."""
+
+    @staticmethod
+    def typed_library(context):
+        library = CellLibrary("typed", context=context)
+        cell = library.define("A")
+        cell.define_signal("i", "in")
+        cell.define_signal("o", "out")
+        cell.signal("i").data_type_var.set(INTEGER_SIGNAL, USER)
+        return library
+
+    @pytest.fixture()
+    def restored(self):
+        library = self.typed_library(reset_default_context())
+        return load_library(serialize_library(library),
+                            context=reset_default_context())
+
+    def test_unset_types_stay_unset(self, restored):
+        out = restored.cell("A").signal("o")
+        for variable in (out.data_type_var, out.electrical_type_var):
+            assert variable.value is None
+            assert variable.last_set_by is None
+        assert restored.cell("A").signal("i").electrical_type_var \
+            .last_set_by is None
+
+    def test_designer_type_stays_user(self, restored):
+        data_type = restored.cell("A").signal("i").data_type_var
+        assert data_type.value is INTEGER_SIGNAL
+        assert data_type.last_set_by is USER
+
+    def test_files_without_the_field_load_as_application(self):
+        data = serialize_library(self.typed_library(reset_default_context()))
+        signal = next(s for s in data["cells"][0]["signals"]
+                      if s["name"] == "i")
+        del signal["data_type_justification"]
+        restored = load_library(data, context=reset_default_context())
+        data_type = restored.cell("A").signal("i").data_type_var
+        assert data_type.value is INTEGER_SIGNAL
+        assert data_type.last_set_by is APPLICATION
+
+    def test_unset_types_add_no_fields(self):
+        data = serialize_library(self.typed_library(reset_default_context()))
+        signals = {s["name"]: s for s in data["cells"][0]["signals"]}
+        assert "data_type_justification" not in signals["o"]
+        assert "electrical_type_justification" not in signals["o"]
+        assert signals["i"]["data_type_justification"] == "USER"
