@@ -11,7 +11,6 @@ A thin utility layer a downstream user drives from the shell::
     python -m repro.cli sweep design.json --cell ALU --var width --range 1:8
     python -m repro.cli stats design.json --json
     python -m repro.cli islands design.json --members
-    python -m repro.cli plancache-stats design.json --repeat 5
     python -m repro.cli metrics design.json
     python -m repro.cli profile design.json --top 10 --trace round.trace.json
 
@@ -50,6 +49,16 @@ def _exercise(library: CellLibrary) -> None:
     for cell in library:
         if cell.delays and cell.subcells:
             cell.build_delay_network()
+
+
+def _islands(library: CellLibrary) -> List[List[Any]]:
+    """The constraint-graph islands reachable from the library's cell
+    and instance variables (the variables a session addresses)."""
+    from .core import bfs_partition
+
+    return bfs_partition(variable for cell in library
+                         for owner in (cell, *cell.subcells)
+                         for variable in owner.variables.values())
 
 
 def _find_instance(cell: Any, name: str) -> Any:
@@ -203,29 +212,18 @@ def cmd_browse(args: argparse.Namespace, out) -> int:
 def cmd_stats(args: argparse.Namespace, out) -> int:
     """Propagation statistics after exercising the design's networks.
 
-    The engine's :class:`PropagationStats` block, routed through the
+    The engine's :class:`PropagationStats` block plus the island
+    partition (``islands``, ``largest_island``), routed through the
     metrics snapshot API so output is deterministic (sorted keys) and,
     with ``--json``, machine-readable.
     """
-    from .core import install_islands
+    from .core.islands import island_stats
     from .obs import MetricsRegistry
 
-    context = reset_default_context()
-    # Install the island index before loading so it observes every
-    # constraint link the load creates (partition counters then reflect
-    # the whole design, not just post-load edits).
-    islands = install_islands(context)
-    library = _load(args.design, context=context)
+    library = _load(args.design)
     _exercise(library)
     registry = MetricsRegistry.from_stats(library.context.stats)
-    cache = getattr(library.context, "plan_cache", None)
-    registry.counter("engine.stats.plan_hits").inc(
-        cache.hits if cache is not None else 0)
-    registry.counter("engine.stats.plan_chain_hits").inc(
-        cache.chain_hits if cache is not None else 0)
-    registry.counter("engine.stats.plan_deopts").inc(
-        cache.deopts if cache is not None else 0)
-    for name, value in islands.stats().items():
+    for name, value in island_stats(_islands(library)).items():
         registry.counter(f"engine.stats.{name}").inc(value)
     snapshot = registry.snapshot()
     if args.json:
@@ -240,25 +238,21 @@ def cmd_stats(args: argparse.Namespace, out) -> int:
 def cmd_islands(args: argparse.Namespace, out) -> int:
     """Inspect the constraint-graph islands of a design.
 
-    Loads the design with an island index installed, then prints the
-    partition: island count, sizes in deterministic order (largest
-    first, ties by first member name), and — with ``--members`` — the
-    variables of each island.  ``--json`` emits one JSON object.
+    Loads and exercises the design, then prints the partition: island
+    count, sizes in deterministic order (largest first, ties by first
+    member name), and — with ``--members`` — the variables of each
+    island, sorted by qualified name.  ``--json`` emits one JSON object.
     """
-    from .core import install_islands
-
-    context = reset_default_context()
-    islands = install_islands(context)
-    library = _load(args.design, context=context)
+    library = _load(args.design)
     _exercise(library)
-    partition = islands.islands()
-    summary = islands.stats()
+    partition = [sorted(group, key=lambda v: v.qualified_name())
+                 for group in _islands(library)]
+    partition.sort(key=lambda vs: (-len(vs), vs[0].qualified_name()))
+    largest = len(partition[0]) if partition else 0
     if args.json:
         report: Any = {
-            "islands": summary["islands"],
-            "largest_island": summary["largest_island"],
-            "island_merges": summary["island_merges"],
-            "island_splits": summary["island_splits"],
+            "islands": len(partition),
+            "largest_island": largest,
             "sizes": [len(group) for group in partition],
         }
         if args.members:
@@ -267,53 +261,13 @@ def cmd_islands(args: argparse.Namespace, out) -> int:
         json.dump(report, out, indent=2, sort_keys=True)
         print(file=out)
         return 0
-    print(f"{summary['islands']} island(s) in {library.name!r} "
-          f"(largest {summary['largest_island']}, "
-          f"merges {summary['island_merges']}, "
-          f"splits {summary['island_splits']})", file=out)
+    print(f"{len(partition)} island(s) in {library.name!r} "
+          f"(largest {largest})", file=out)
     for index, group in enumerate(partition):
         print(f"  island {index}: {len(group)} variable(s)", file=out)
         if args.members:
             for variable in group:
                 print(f"    {variable.qualified_name()}", file=out)
-    return 0
-
-
-def cmd_plancache_stats(args: argparse.Namespace, out) -> int:
-    """Plan-cache behaviour under a hot-round workload on the design.
-
-    Installs a :class:`~repro.core.plancache.PlanCache`, loads the
-    design, builds its delay networks once, then re-asserts every
-    concrete leaf delay characteristic ``--repeat`` times — the
-    repeated-entry-variable pattern of interactive design work, which
-    is what gets rounds traced, promoted and replayed.  The cache's
-    counter block (hits, misses, promotions, deopts, ...) is printed in
-    deterministic sorted order; with ``--json`` as one JSON object.
-    """
-    from .core import PlanCache
-
-    context = reset_default_context()
-    cache = PlanCache(context)
-    library = _load(args.design, context=context)
-    _exercise(library)
-    hot_variables = [variable
-                     for cell in library if not cell.subcells
-                     for variable in cell.delays.values()
-                     if variable.value is not None]
-    passes = max(1, args.repeat)
-    for _ in range(passes):
-        for variable in hot_variables:
-            variable.set(variable.value)
-    stats = cache.stats()
-    if args.json:
-        json.dump(stats, out, indent=2, sort_keys=True)
-        print(file=out)
-    else:
-        print(f"plan cache after {passes} pass(es) over "
-              f"{len(hot_variables)} hot delay variable(s) "
-              f"of {library.name!r}:", file=out)
-        for name, value in stats.items():
-            print(f"  {name}: {value}", file=out)
     return 0
 
 
@@ -475,7 +429,6 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
                            max_connections=args.max_connections,
                            drain_timeout=args.drain_timeout,
                            round_budget=round_budget,
-                           island_workers=args.island_workers,
                            store=args.store)
 
     async def run() -> None:
@@ -790,17 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="machine-readable JSON report")
     p_islands.set_defaults(fn=cmd_islands)
 
-    p_plan = sub.add_parser("plancache-stats",
-                            help="plan-cache hit/miss/deopt counters while "
-                                 "repeatedly exercising the design")
-    p_plan.add_argument("design")
-    p_plan.add_argument("--repeat", type=int, default=5,
-                        help="re-assertion passes (repeats make rounds hot: "
-                             "register, trace twice, promote, replay)")
-    p_plan.add_argument("--json", action="store_true",
-                        help="machine-readable JSON snapshot")
-    p_plan.set_defaults(fn=cmd_plancache_stats)
-
     p_metrics = sub.add_parser("metrics", help="observability metrics "
                                                "snapshot (counters, gauges, "
                                                "histograms)")
@@ -870,11 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--drain-timeout", type=float, default=5.0,
                          help="seconds to let in-flight requests finish "
                               "on shutdown")
-    p_serve.add_argument("--island-workers", type=int, default=None,
-                         help="drain disjoint constraint-graph islands of "
-                              "a batch concurrently on N threads (0/1 = "
-                              "serial island rounds; default leaves "
-                              "batches fused)")
     p_serve.add_argument("--store", default=None, metavar="BACKEND[:PATH]",
                          help="durable storage backend: file (default), "
                               "sqlite[:db-path] or object[:bucket-path]")

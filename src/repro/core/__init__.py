@@ -26,14 +26,7 @@ from .functional import (
     UniMaximumConstraint,
     UniMinimumConstraint,
 )
-from .islands import (
-    IslandIndex,
-    SerialIslandExecutor,
-    ThreadIslandExecutor,
-    bfs_partition,
-    install_islands,
-    islands_for,
-)
+from .islands import bfs_partition
 from .justification import (
     APPLICATION,
     DEFAULT,
@@ -48,13 +41,6 @@ from .justification import (
     source_constraint,
 )
 from .library import CompatibleConstraint, EqualityConstraint, UpdateConstraint
-from .plancache import (
-    NOT_DERIVED,
-    PlanCache,
-    PropagationPlan,
-    PropagationPlanChain,
-    plan_cache_for,
-)
 from .predicates import (
     AreaBoundConstraint,
     AspectRatioPredicate,
@@ -114,14 +100,10 @@ __all__ = [
     "IMPLICIT", "Infeasible", "Interval", "IntervalSolver", "MEDIUM",
     "PropagationControl", "REQUIRED", "Recommendation", "RelaxationSolver",
     "STRONG", "StrengthAwareVariable", "USER_STRENGTH", "WEAK", "WEAKEST",
-    "IslandIndex", "SerialIslandExecutor", "ThreadIslandExecutor",
-    "bfs_partition", "install_islands", "islands_for",
-    "NOT_DERIVED", "PlanCache", "PropagationPlan", "PropagationPlanChain",
-    "PropagationTrace",
+    "bfs_partition", "PropagationTrace",
     "HAVE_NUMPY", "SweepError", "SweepPlan", "SweepResult",
     "compile_island_sweeps",
     "compile_network", "compile_sweep", "control_for", "explain",
-    "plan_cache_for",
     "plan_one_pass", "solve_one_pass", "strength_of_constraint", "sweep",
     "trace", "with_strength",
     "AreaBoundConstraint", "AspectRatioPredicate", "BudgetExceeded",

@@ -22,13 +22,6 @@ the "tradeoff between flexibility ... and efficiency and rigidity of
 procedural constraints" the thesis discusses in section 6.5.2.  The
 ``write_back`` entry point re-installs results into the variables with
 propagation disabled, for callers that accept that trade.
-
-:mod:`repro.core.plancache` occupies the middle of the same spectrum
-*without* giving up the trade: it proceduralizes whole propagation rounds
-automatically from recorded traces, but keeps violation detection and
-rollback through guards and deoptimization.  Use ``CompiledNetwork`` for
-batch evaluation of a known functional subnet; use the plan cache when
-the interactive assignment path itself must stay fast.
 """
 
 from __future__ import annotations

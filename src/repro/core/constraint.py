@@ -103,11 +103,8 @@ class Constraint:
         if self._attached:
             return True
         self._attached = True
-        with self.context.structural_operation():
-            # One logical edit, one topology epoch: the N argument links
-            # coalesce instead of bumping N times.
-            for variable in self._arguments:
-                variable.add_constraint(self)
+        for variable in self._arguments:
+            variable.add_constraint(self)
         return self.reinitialize_variables()
 
     def reinitialize_variables(self) -> bool:
@@ -136,9 +133,8 @@ class Constraint:
             to_reset = {variable} | variable.variable_consequences()
         else:
             to_reset = dependency.constraint_consequences(self, variable)
-        with self.context.structural_operation():
-            variable.remove_constraint(self)
-            self._arguments.remove(variable)
+        variable.remove_constraint(self)
+        self._arguments.remove(variable)
         for dependent in to_reset:
             dependent.reset()
         if self._attached and self._arguments:
@@ -154,10 +150,8 @@ class Constraint:
                 to_reset |= variable.variable_consequences()
             else:
                 to_reset |= dependency.constraint_consequences(self, variable)
-        with self.context.structural_operation():
-            # One logical edit, one topology epoch, however many unlinks.
-            for variable in self._arguments:
-                variable.remove_constraint(self)
+        for variable in self._arguments:
+            variable.remove_constraint(self)
         self._arguments = []
         self._attached = False
         for dependent in to_reset:
@@ -195,31 +189,6 @@ class Constraint:
     def permits_changes_by(self, variable: Any) -> bool:
         """May a change of ``variable`` drive this constraint's inference?"""
         return True
-
-    # -- plan-cache protocol (repro.core.plancache) -------------------------------------
-
-    #: True for constraint classes whose inference is a no-op exactly when
-    #: the activating value is ``None`` (the library's null-driven skip):
-    #: the plan cache may keep such a constraint silent in a plan because
-    #: the ``None``-ness of every traced value is guard-protected.
-    plan_silent_on_none = False
-
-    def plan_derivation(self, target: Any, changed: Any) -> Optional[Any]:
-        """Express one traced propagation as a pure derivation, or refuse.
-
-        ``target`` is the variable this constraint assigned during the
-        traced round; ``changed`` is the activating variable recorded in
-        the justification's dependency record (``None`` when the record
-        carries no variable).  Return a zero-argument callable computing,
-        from *current* network state, the value the constraint would
-        propagate to ``target`` — or the
-        :data:`~repro.core.plancache.NOT_DERIVED` sentinel when the
-        inference would not fire (incomplete inputs, an inline violation).
-        Returning ``None`` marks the trace unplannable; the base class
-        always refuses, so only explicitly certified constraint types
-        participate in plan specialization.
-        """
-        return None
 
     # -- dependency protocol ----------------------------------------------------------
 

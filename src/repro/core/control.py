@@ -42,13 +42,6 @@ class PropagationControl:
         self._variable_refs: List[Any] = []
         self._filters: List[Callable[[Any], bool]] = []
         context.control = self
-        # Installing a control changes the engine's _allows identity;
-        # conservatively treat it (and every selector mutation below) as
-        # a topology change so cached propagation plans are invalidated.
-        context.bump_topology_epoch()
-
-    def _note_change(self) -> None:
-        self.context.bump_topology_epoch()
 
     # -- selectors -------------------------------------------------------------
 
@@ -56,38 +49,30 @@ class PropagationControl:
         if id(constraint) not in self._constraints:
             self._constraints.add(id(constraint))
             self._constraint_refs.append(constraint)
-            self._note_change()
 
     def enable_constraint(self, constraint: Any) -> None:
-        if id(constraint) in self._constraints:
-            self._constraints.discard(id(constraint))
-            self._constraint_refs = [c for c in self._constraint_refs
-                                     if c is not constraint]
-            self._note_change()
+        self._constraints.discard(id(constraint))
+        self._constraint_refs = [c for c in self._constraint_refs
+                                 if c is not constraint]
 
     def disable_type(self, constraint_type: Type) -> None:
         if constraint_type not in self._types:
             self._types.append(constraint_type)
-            self._note_change()
 
     def enable_type(self, constraint_type: Type) -> None:
         if constraint_type in self._types:
             self._types.remove(constraint_type)
-            self._note_change()
 
     def disable_variable(self, variable: Any) -> None:
         """Disable every constraint connected to ``variable``."""
         if id(variable) not in self._variables:
             self._variables.add(id(variable))
             self._variable_refs.append(variable)
-            self._note_change()
 
     def enable_variable(self, variable: Any) -> None:
-        if id(variable) in self._variables:
-            self._variables.discard(id(variable))
-            self._variable_refs = [v for v in self._variable_refs
-                                   if v is not variable]
-            self._note_change()
+        self._variables.discard(id(variable))
+        self._variable_refs = [v for v in self._variable_refs
+                               if v is not variable]
 
     def disable_network_of(self, variable: Any) -> int:
         """Disable the whole connected constraint network of ``variable``.
@@ -115,7 +100,6 @@ class PropagationControl:
     def add_filter(self, predicate: Callable[[Any], bool]) -> None:
         """Disable every constraint for which ``predicate`` is true."""
         self._filters.append(predicate)
-        self._note_change()
 
     def clear(self) -> None:
         """Re-enable everything."""
@@ -125,7 +109,6 @@ class PropagationControl:
         self._variables.clear()
         self._variable_refs.clear()
         self._filters.clear()
-        self._note_change()
 
     # -- the engine's query -------------------------------------------------------
 

@@ -33,8 +33,8 @@ visited order, same violation points, same counter values — with depth
 limited by heap memory, not the C stack.  Every counter, trace and
 observer hook (``context.observer``, see :mod:`repro.obs`) for
 constraint activity fires at that one dispatch site; the observer,
-tracer, control, budget and plan recording in force are read once when
-the round opens.
+tracer, control and budget in force are read once when the round
+opens.
 
 The Smalltalk implementation keeps its bookkeeping in globals
 (``VisitedConstraintsAndVariables``, the agenda scheduler, the ``CPSwitch``
@@ -62,7 +62,6 @@ Key behaviours reproduced:
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from time import perf_counter
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -188,20 +187,17 @@ class _Round:
     height while the current step runs; frames above it are that step's
     own postings.
 
-    The observer, tracer, control, step budget and plan recording in
-    force are captured once, when the round opens.
+    The context's stats and scheduler, and the observer, tracer, control
+    and step budget in force, are captured once, when the round opens.
     """
 
     __slots__ = ("visited", "changes", "constraints", "max_changes",
                  "silent", "_tick", "set_ticks", "stack", "draining", "mark",
-                 "visited_floor", "stats", "scheduler", "recording",
-                 "observer", "tracer", "control", "budget", "steps",
-                 "deadline", "started")
+                 "visited_floor", "stats", "scheduler", "observer", "tracer",
+                 "control", "budget", "steps", "deadline", "started")
 
     def __init__(self, context: "PropagationContext",
-                 stats: "PropagationStats", scheduler: AgendaScheduler,
-                 silent: bool = False,
-                 budget: Optional["RoundBudget"] = None) -> None:
+                 silent: bool = False) -> None:
         self.visited: Dict[Any, Tuple[Justification, Any]] = {}
         self.changes: Dict[Any, int] = {}
         self.constraints: Dict[int, Any] = {}
@@ -217,18 +213,14 @@ class _Round:
         #: from here so each entry of a batched round gets the same
         #: headroom a standalone round would.
         self.visited_floor = 0
-        #: Where this round's activity counts and agenda entries go: the
-        #: context's own for fused rounds, private ones for island rounds
-        #: (merged at the end, see ``_run_island_rounds``).
-        self.stats = stats
-        self.scheduler = scheduler
-        self.recording = context._plan_recording
+        self.stats = context.stats
+        self.scheduler = context.scheduler
         self.observer = context.observer
         self.tracer = context.tracer
         self.control = context.control
         # Watchdog state (see RoundBudget): steps taken and, for
         # wall-time budgets, the perf_counter deadline.
-        self.budget = budget
+        budget = self.budget = context.round_budget
         self.steps = 0
         self.deadline: Optional[float] = None
         self.started = 0.0
@@ -347,53 +339,18 @@ class PropagationContext:
         #: write-ahead capture point for durable sessions.  Costs one
         #: attribute check per external assignment while ``None``.
         self.recorder = None
-        #: Optional :class:`repro.core.plancache.PlanCache` — the hot-round
-        #: trace specializer.  Consulted by :meth:`assign` before opening a
-        #: general round; costs one attribute check while ``None``.
-        self.plan_cache = None
-        #: Monotonic counter of structural network changes (constraint
-        #: links, implicit hierarchy topology, control state).  Plan-cache
-        #: keys embed it, so any edit invalidates stale plans.
-        self.topology_epoch = 0
         #: Optional :class:`RoundBudget` — the propagation watchdog.
         #: While installed, every round is bounded in steps and/or wall
         #: time and aborts (with full rollback) via
         #: :class:`~repro.core.violations.BudgetExceeded` when it
         #: overruns.  Costs one check per step while ``None``.
         self.round_budget: Optional[RoundBudget] = None
-        #: Plan-cache trace recording for the next round, or ``None``.
-        #: A round captures it at open and feeds it from
-        #: :meth:`propagated_assignment`.
-        self._plan_recording = None
         #: Optional round-effect sink (``repro.spaces``): an object with
         #: ``absorb_visited(visited)`` called after every non-silent
-        #: round with the round's pre-state map, ``round_rolled_back()``
-        #: called when a non-silent round restores, and
-        #: ``absorb_undo(undo)`` called by plan-cache replays.  Costs
-        #: one attribute check per round while ``None``.
+        #: round with the round's pre-state map, and
+        #: ``round_rolled_back()`` called when a non-silent round
+        #: restores.  Costs one attribute check per round while ``None``.
         self.shadow = None
-        #: Optional :class:`repro.core.islands.IslandIndex` — the
-        #: incrementally-maintained connected-component partition of the
-        #: constraint graph.  Maintained from the structural choke points
-        #: (:meth:`note_structure_link` / :meth:`note_structure_unlink`);
-        #: costs one attribute check per structural edit while ``None``.
-        self.islands = None
-        #: Optional island executor (``repro.core.islands``): when both
-        #: an index and an executor are installed, ``assign_many``
-        #: batches spanning several islands drain each island as its own
-        #: round — concurrently for parallel executors — with effects
-        #: merged so results are byte-identical to the fused round.
-        self.island_executor = None
-        #: Thread-local holding the island round being drained by the
-        #: current thread (created on first island-structured batch).
-        #: ``current_round`` checks it before ``_round`` so constraints
-        #: running inside an island wavefront see their own round.
-        self._island_rounds: Optional[threading.local] = None
-        # Epoch-coalescing state for structural_operation(): while the
-        # hold count is positive, bump_topology_epoch defers (at most one
-        # pending bump), so a multi-link edit costs one epoch.
-        self._epoch_hold = 0
-        self._epoch_pending = False
         self._round: Optional[_Round] = None
 
     def _trace(self, kind, subject, detail: str = "") -> None:
@@ -405,83 +362,11 @@ class PropagationContext:
         control = self.control
         return control is None or control.allows(constraint)
 
-    def bump_topology_epoch(self) -> None:
-        """Note a structural network change.
-
-        Called from every choke point that alters which constraints a
-        round can activate: ``Variable.add_constraint`` /
-        ``remove_constraint`` (and through them all constraint editing),
-        implicit hierarchy registration, ``PropagationControl`` mutations
-        and session undo/redo.  Invalidates every cached propagation plan.
-
-        Inside a :meth:`structural_operation` scope the bump is deferred
-        and coalesced: one logical edit (e.g. attaching a three-variable
-        constraint, which links three times) advances the epoch exactly
-        once, instead of once per link.
-        """
-        if self._epoch_hold:
-            self._epoch_pending = True
-            return
-        self.topology_epoch += 1
-        cache = self.plan_cache
-        if cache is not None:
-            cache.note_topology_change()
-
-    @contextmanager
-    def structural_operation(self) -> Iterator[None]:
-        """Scope one logical structural edit: epoch bumps inside coalesce
-        to a single bump at exit.  Nests (the outermost scope bumps);
-        island-index maintenance is unaffected — links and unlinks keep
-        flowing to the index eagerly."""
-        self._epoch_hold += 1
-        try:
-            yield
-        finally:
-            self._epoch_hold -= 1
-            if not self._epoch_hold and self._epoch_pending:
-                self._epoch_pending = False
-                self.bump_topology_epoch()
-
-    def note_structure_link(self, variable: Any, constraint: Any) -> None:
-        """Structural choke point: ``variable`` gained ``constraint``.
-
-        Feeds the island index (eager merge) and bumps the topology
-        epoch.  Every path that grows the constraint graph — explicit
-        ``Variable.add_constraint`` and implicit hierarchy registration —
-        funnels through here.
-        """
-        islands = self.islands
-        if islands is not None:
-            islands.note_link(variable, constraint)
-        self.bump_topology_epoch()
-
-    def note_structure_unlink(self, variable: Any, constraint: Any) -> None:
-        """Structural choke point: ``variable`` lost ``constraint``.
-
-        Feeds the island index (lazy split — the touched component is
-        rebuilt on the next partition query) and bumps the topology
-        epoch.
-        """
-        islands = self.islands
-        if islands is not None:
-            islands.note_unlink(variable, constraint)
-        self.bump_topology_epoch()
-
     # -- round management -------------------------------------------------
 
     @property
     def current_round(self) -> Optional[_Round]:
-        """The round the calling thread is propagating in, or ``None``.
-
-        An island round being drained by this thread takes precedence
-        over the context-wide round — constraints firing inside an
-        island wavefront must join *their* island's bookkeeping.
-        """
-        local = self._island_rounds
-        if local is not None:
-            rnd = getattr(local, "round", None)
-            if rnd is not None:
-                return rnd
+        """The round propagation is running in, or ``None``."""
         return self._round
 
     @property
@@ -497,8 +382,7 @@ class PropagationContext:
     def _open_round(self, silent: bool = False) -> _Round:
         if self._round is not None:
             raise RuntimeError("propagation rounds do not nest")
-        rnd = self._round = _Round(self, self.stats, self.scheduler, silent,
-                                   self.round_budget)
+        rnd = self._round = _Round(self, silent)
         self.stats.rounds += 1
         return rnd
 
@@ -556,17 +440,6 @@ class PropagationContext:
             # changes, so a crash between journaling and mutation replays
             # the assignment rather than losing it.
             recorder.record_assign(variable, value, justification)
-        cache = self.plan_cache
-        if cache is not None and self.tracer is None:
-            # Hot-round fast path: a cached plan replays the round under
-            # guards and returns True; None means "no plan for this key —
-            # run the general round" (with a trace recording installed
-            # while the key warms up).  Consulted after the recorder so
-            # journaling is identical with the cache on or off, and before
-            # the stats increment so the recorded stats delta covers it.
-            handled = cache.on_external_assign(variable, value, justification)
-            if handled is not None:
-                return handled
         self.stats.external_assignments += 1
         if self.tracer is not None:
             self._trace("round-start", variable, f"set to {value!r}")
@@ -579,10 +452,6 @@ class PropagationContext:
     def _in_round_external_assignment(self, variable: Any, value: Any,
                                       justification: Justification) -> None:
         rnd = self.require_round()
-        if rnd.recording is not None:
-            # A tool assigned mid-round: the round's shape depends on
-            # state a straight-line plan cannot guard.  Never cache it.
-            rnd.recording.poison("in-round external assignment")
         rnd.stats.external_assignments += 1
         rnd.record_visit(variable)
         variable._store(value, justification)
@@ -654,55 +523,27 @@ class PropagationContext:
         else:
             seeds = entries
         dropped = len(entries) - len(seeds)
-        if self.island_executor is not None and self.islands is not None \
-                and len(seeds) > 1 and self.tracer is None \
-                and self.shadow is None and self.round_budget is None \
-                and self._plan_recording is None:
-            # Island-structured fast path: a batch whose entries span
-            # several islands drains each island as an independent round
-            # (concurrently, with a parallel executor).  Consulted after
-            # the recorder — journal bytes are identical islands on or
-            # off — and gated off whenever round-wide machinery (tracer,
-            # space shadow, budget, an in-flight trace recording) needs
-            # the single fused round.
-            groups = self.islands.group_entries(seeds)
-            if len(groups) > 1:
-                return self._run_island_rounds(groups, seeds, dropped)
-        cache = self.plan_cache
-        if cache is not None and self.tracer is None:
-            # Hot-batch fast path: a promoted plan chain replays the whole
-            # batch under guards.  Consulted after the recorder (identical
-            # journaling cache on or off) and before the stats increments
-            # (the recorded stats delta covers them).
-            handled = cache.on_external_batch(seeds, dropped)
-            if handled is not None:
-                return handled
-        return self._run_batch_round(seeds, dropped)
-
-    def _run_batch_round(self, entries: List[Tuple[Any, Any, Justification]],
-                         dropped: int) -> bool:
-        """The general batched round: seed, drain, sweep once."""
         stats = self.stats
         stats.coalesced_assignments += dropped
-        stats.external_assignments += len(entries)
-        first = entries[0][0]
+        stats.external_assignments += len(seeds)
+        first = seeds[0][0]
         if self.tracer is not None:
             self._trace("round-start", first,
-                        f"batch of {len(entries)} assignment(s)")
+                        f"batch of {len(seeds)} assignment(s)")
         observer = self.observer
         if observer is not None:
             batch_hook = getattr(observer, "batch_submitted", None)
             if batch_hook is not None:
-                batch_hook(len(entries) + dropped, dropped)
-        if not self._run_round("batch", first, entries):
+                batch_hook(len(entries), dropped)
+        if not self._run_round("batch", first, seeds):
             return False
         self._trace("round-end", first)
         return True
 
     def _run_round(self, kind: str, subject: Any, entries: Any,
                    repropagate: Any = None) -> bool:
-        """One fused round from open to teardown — the body every entry
-        point shares.  ``kind`` is ``"assign"``, ``"batch"``, ``"probe"``
+        """One round from open to teardown — the body every entry point
+        shares.  ``kind`` is ``"assign"``, ``"batch"``, ``"probe"``
         (silent, always restored, no store hooks) or ``"repropagate"``
         (``repropagate`` is the edited constraint, ``entries`` empty).
 
@@ -715,14 +556,13 @@ class PropagationContext:
         if observer is not None:
             observer.round_started(kind, subject)
         outcome = "error"
-        rnd = None
         try:
             rnd = self._open_round(silent=probe)
             try:
                 if repropagate is not None:
                     rnd.stack.append([_REPROPAGATE, repropagate, None])
                     self._drain(rnd)
-                self._propagate(rnd, entries, kind == "batch", not probe)
+                self._propagate(rnd, entries, not probe)
                 outcome = "ok"
             except PropagationViolation as signal:
                 if probe:
@@ -743,17 +583,11 @@ class PropagationContext:
                         observer.restored(len(rnd.visited), "probe")
                 self._close_round(rnd)
         finally:
-            recording = self._plan_recording
-            if recording is not None and (kind == "assign"
-                                          or kind == "batch"):
-                self._plan_recording = None
-                recording.cache.finish_recording(recording, rnd,
-                                                 outcome == "ok")
             if observer is not None:
                 observer.round_finished(outcome)
         return outcome == "ok"
 
-    def _propagate(self, rnd: _Round, entries: Any, batch: bool = True,
+    def _propagate(self, rnd: _Round, entries: Any,
                    hooks: bool = True) -> None:
         """Seed each entry and drain its wavefront, then sweep once.
 
@@ -761,11 +595,8 @@ class PropagationContext:
         place; the caller owns restoring them.
         """
         stack = rnd.stack
-        recording = rnd.recording if batch else None
         for variable, value, justification in entries:
             rnd.begin_entry()
-            if recording is not None:
-                recording.note_entry(variable, value)
             rnd.record_visit(variable)
             variable._store(value, justification)
             rnd.note_change(variable)
@@ -785,186 +616,6 @@ class PropagationContext:
                     constraint=constraint,
                     reason=f"constraint unsatisfied after propagation: "
                            f"{constraint!r}")
-
-    # -- island-structured batches (repro.core.islands) ---------------------
-
-    def _run_island_rounds(self, groups: List[List[Tuple[Any, Any,
-                                                         Justification]]],
-                           entries: List[Tuple[Any, Any, Justification]],
-                           dropped: int) -> bool:
-        """Drain a multi-island batch as independent per-island rounds.
-
-        Optimistic execution with an authoritative serial fallback: each
-        island's slice runs as a private :class:`_Round` (own stats, own
-        agenda scheduler, own undo map) — concurrently when the executor
-        is parallel — and only if **every** island completes cleanly and
-        the topology stayed put are the island effects committed: local
-        stats merge commutatively into the context's, the parent applies
-        the round-level counters (``rounds``, ``external_assignments``,
-        ``coalesced_assignments``) exactly once, and promoted island
-        chains' stats deltas apply.  On any violation, error or mid-round
-        structural edit, *all* island effects are rolled back quietly (no
-        handler, no violation record) and the whole batch reruns through
-        :meth:`_run_batch_round` — the fused round is the authority for
-        violation handling, so handler invocations, violation records and
-        every counter are byte-identical to running with islands off.
-
-        One journaled batch frame covers either path (the recorder ran in
-        :meth:`assign_many` before this branch), and with an observer
-        installed the islands drain serially in the calling thread (the
-        metrics hub is not thread-safe) wrapped in per-island spans.
-        """
-        index = self.islands
-        cache = self.plan_cache
-        observer = self.observer
-        executor = self.island_executor
-        epoch0 = self.topology_epoch
-        first = entries[0][0]
-        island_hook = None
-        if observer is not None:
-            batch_hook = getattr(observer, "batch_submitted", None)
-            if batch_hook is not None:
-                batch_hook(len(entries) + dropped, dropped)
-            observer.round_started("batch", first)
-            island_hook = getattr(observer, "island_event", None)
-            if island_hook is not None:
-                island_hook("batches")
-                island_hook("groups", len(groups))
-        local = self._island_rounds
-        if local is None:
-            local = self._island_rounds = threading.local()
-        replayed: List[Tuple[List[Tuple[Any, Any, Any]], Any]] = []
-        outcomes: List[Tuple[str, _Round, Any]] = []
-        recorded: Optional[Tuple[Any, _Round]] = None
-        index.freeze()
-        try:
-            pending = []  # (group, key_state) for general island rounds
-            for group in groups:
-                state = None
-                if cache is not None:
-                    state = cache.island_chain_state(group)
-                    if state is not None and state.plan is not None:
-                        replay = cache.replay_island(state, group)
-                        if replay is not None:
-                            replayed.append(replay)
-                            continue
-                        if state.plan is not None:
-                            state = None  # foreign plan on the key
-                pending.append((group, state))
-            # At most one island per batch records a trace (one recording
-            # per batch, as in the fused round), drained inline in this
-            # thread before anything reaches the executor.
-            recording = None
-            rest = []
-            for group, state in pending:
-                if recording is None and state is not None \
-                        and state.plan is None:
-                    stats = PropagationStats()
-                    recording = cache.begin_island_recording(state, stats)
-                    if recording is not None:
-                        outcome = self._island_task(group, local, stats,
-                                                    recording)
-                        outcomes.append(outcome)
-                        recorded = (recording, outcome[1])
-                        continue
-                rest.append(group)
-            failed = any(status != "ok" for status, _rnd, _err in outcomes) \
-                or self.topology_epoch != epoch0
-            if not failed and rest:
-                if observer is not None or len(rest) == 1 \
-                        or not getattr(executor, "parallel", False):
-                    span_hook = None if observer is None \
-                        else getattr(observer, "island_span", None)
-                    for group in rest:
-                        stats = PropagationStats()
-                        if span_hook is not None:
-                            with span_hook("round", entries=len(group)):
-                                outcome = self._island_task(group, local,
-                                                            stats)
-                        else:
-                            outcome = self._island_task(group, local, stats)
-                        outcomes.append(outcome)
-                else:
-                    tasks = []
-                    for group in rest:
-                        stats = PropagationStats()
-                        tasks.append(_island_thunk(self, group, local, stats))
-                    outcomes.extend(executor.run(tasks))
-                failed = any(status != "ok"
-                             for status, _rnd, _err in outcomes) \
-                    or self.topology_epoch != epoch0
-            if failed:
-                # Quiet whole-batch rollback: restore every island round's
-                # pre-states and reverse every replayed chain, discard the
-                # island-local stats, then rerun the batch fused — the
-                # authoritative path for handlers and violation records.
-                for _status, rnd, _err in reversed(outcomes):
-                    self._restore(rnd)
-                for undo, _plan in reversed(replayed):
-                    for var, just, val in reversed(undo):
-                        var._store(val, just)
-                if recorded is not None and cache is not None:
-                    cache.finish_recording(recorded[0], recorded[1], False)
-                if island_hook is not None:
-                    island_hook("fallbacks")
-                if observer is not None:
-                    observer.round_finished("island-fallback")
-                return self._run_batch_round(entries, dropped)
-            # Commit: one round frame, island effects merged.
-            stats = self.stats
-            stats.rounds += 1
-            stats.coalesced_assignments += dropped
-            stats.external_assignments += len(entries)
-            for _status, rnd, _err in outcomes:
-                island_stats = rnd.stats
-                for name in PropagationStats.__slots__:
-                    setattr(stats, name,
-                            getattr(stats, name) + getattr(island_stats,
-                                                           name))
-            for _undo, plan in replayed:
-                for name, delta in plan.stats_delta:
-                    setattr(stats, name, getattr(stats, name) + delta)
-            if recorded is not None and cache is not None:
-                cache.finish_recording(recorded[0], recorded[1], True)
-            if island_hook is not None:
-                if outcomes:
-                    island_hook("rounds", len(outcomes))
-                if replayed:
-                    island_hook("replays", len(replayed))
-            if observer is not None:
-                observer.round_finished("ok")
-            return True
-        finally:
-            index.thaw()
-
-    def _island_task(self, group: List[Tuple[Any, Any, Justification]],
-                     local: threading.local, stats: PropagationStats,
-                     recording: Any = None) -> Tuple[str, _Round, Any]:
-        """Drain one island's slice of a batch as a private round.
-
-        Runs in the calling thread or an executor worker.  All effects
-        are round-local: private stats, a private agenda scheduler, the
-        island's own trace recording (if any), and the round itself bound
-        thread-locally so constraints firing inside the wavefront find
-        *their* island's round.  The round is **not** restored on
-        violation or error — the caller owns the whole-batch rollback —
-        and no handler or observer violation event fires here (the fused
-        fallback rerun is authoritative).
-        """
-        scheduler = AgendaScheduler(self.scheduler.priority_order)
-        scheduler.observer = self.scheduler.observer
-        rnd = _Round(self, stats, scheduler)
-        rnd.recording = recording
-        local.round = rnd
-        try:
-            self._propagate(rnd, group)
-            return ("ok", rnd, None)
-        except PropagationViolation as signal:
-            return ("violation", rnd, signal)
-        except BaseException as error:  # noqa: BLE001 - fallback reruns it
-            return ("error", rnd, error)
-        finally:
-            local.round = None
 
     def probe(self, variable: Any, value: Any,
               justification: Justification = TENTATIVE) -> bool:
@@ -1000,8 +651,6 @@ class PropagationContext:
             # Constraint created while a round runs (e.g. by a compiler
             # invoked from propagation): its repropagation joins the
             # active round.
-            if rnd.recording is not None:
-                rnd.recording.poison("in-round constraint repropagation")
             self._post(rnd, [_REPROPAGATE, constraint, None])
             return True
         return self._run_round("repropagate", constraint, (), constraint)
@@ -1168,8 +817,7 @@ class PropagationContext:
         5.1.2): counts the attempt, traces it, and queues the entry —
         duplicates are rejected by the agenda itself.
         """
-        rnd = self._round if self._island_rounds is None \
-            else self.current_round
+        rnd = self._round
         if rnd is None:
             rnd = self  # outside rounds: the context's own instruments
         rnd.stats.scheduled_entries += 1
@@ -1189,8 +837,7 @@ class PropagationContext:
         The change is posted to the round's stack rather than propagated
         by re-entering the engine.
         """
-        rnd = self._round if self._island_rounds is None \
-            else self.current_round
+        rnd = self._round
         if rnd is None:
             raise RuntimeError("propagated assignment outside a propagation round")
         stack = rnd.stack
@@ -1203,9 +850,6 @@ class PropagationContext:
         decision = variable.classify_propagated(value, constraint)
         if decision == "ignore":
             rnd.stats.ignored_propagations += 1
-            if rnd.recording is not None:
-                rnd.recording.note_ignore(variable, value, constraint,
-                                          justification)
             if rnd.tracer is not None:
                 rnd.tracer.record("ignore", variable,
                                   f"{value!r} agrees/defers")
@@ -1231,9 +875,6 @@ class PropagationContext:
         tick = rnd._tick = rnd._tick + 1
         rnd.set_ticks[variable] = tick
         rnd.stats.propagated_assignments += 1
-        if rnd.recording is not None:
-            rnd.recording.note_write(variable, value, constraint,
-                                     justification)
         if rnd.tracer is not None:
             rnd.tracer.record("store", variable,
                               f":= {value!r} by {constraint!r}")
@@ -1298,14 +939,6 @@ class PropagationContext:
         shadow = self.shadow
         if shadow is not None and not rnd.silent:
             shadow.round_rolled_back()
-
-
-def _island_thunk(context: "PropagationContext", group: List[Tuple[Any, ...]],
-                  local: threading.local, stats: PropagationStats):
-    """A zero-argument island task for the executor (loop-capture safe)."""
-    def run() -> Tuple[str, "_Round", Any]:
-        return context._island_task(group, local, stats)
-    return run
 
 
 def _precedence_ordered(arguments: List[Any]) -> List[Any]:

@@ -79,35 +79,6 @@ class FunctionalConstraint(Constraint):
             return True
         return result.values_equal(current, self.compute(values))
 
-    def plan_derivation(self, target: Any, changed: Any):
-        """Plan-cache certification: recompute the result from live inputs."""
-        if target is not self.result_variable:
-            return None
-        from .plancache import NOT_DERIVED
-
-        inputs = self._arguments[1:]
-        compute = self.compute
-
-        def derive() -> Any:
-            values = [variable.value for variable in inputs]
-            for value in values:
-                if value is None:
-                    return NOT_DERIVED  # the engine would skip this, too
-            return compute(values)
-
-        return derive
-
-    def plan_silence_guard(self):
-        """Guard for a traced round where this constraint popped but
-        computed nothing: its inputs must *still* be incomplete, else the
-        general engine would now produce a result the plan lacks."""
-        inputs = self._arguments[1:]
-
-        def silent() -> bool:
-            return any(variable.value is None for variable in inputs)
-
-        return silent
-
     def test_membership_of(self, variable: Any, dependency_record: Any) -> bool:
         # The result depends on every input; nothing depends on the result
         # through this constraint.

@@ -1,64 +1,31 @@
-"""Constraint-graph islands — connected components for parallel rounds.
+"""Constraint-graph islands — the connected components of a network.
 
 A multi-module design hierarchy is many weakly-coupled subgraphs: the
 propagation wavefront started by an assignment can only ever reach
-variables *connected* to the entry variable through constraints.  This
-module maintains that partition — the network's connected components,
-called **islands** — incrementally, so a batched round touching several
-disjoint modules can drain each module's wavefront independently (and,
-with a parallel executor installed, concurrently).
-
-The index is a union-find over variables with **eager merges and lazy
-splits**:
-
-* every structural link (``Variable.add_constraint``, implicit hierarchy
-  registration) unions the linked variables immediately — O(α) per link,
-  at the same choke points that bump ``topology_epoch``;
-* every unlink only marks the touched component *dirty*; the next
-  :meth:`IslandIndex.flush` (before any grouping or stats query) rebuilds
-  just the dirty components from the surviving edges.
-
-Between flushes the partition is therefore a *coarsening* of true
-connectivity: two variables in different recorded islands are guaranteed
-disconnected, while a recorded island may transiently span what are now
-two components.  Grouping a batch by recorded islands is consequently
-always **safe** for parallelism (no two concurrent wavefronts can meet);
-it is merely sometimes less parallel than it could be — and the flush
-before grouping restores exactness.
+variables *connected* to the entry variable through constraints.  Those
+components are called **islands**.  :func:`bfs_partition` computes them
+on demand for the ``stats`` frame, ``repro stats`` / ``repro islands``
+and island-aware sweeps (:func:`repro.core.sweep.compile_island_sweeps`).
 
 The partition is over the *raw* constraint graph, ignoring
 :class:`~repro.core.control.PropagationControl` state: a disabled
-constraint's edge keeps its endpoints in one island.  Disabling can only
-coarsen the effective graph, so the raw partition remains a sound (if
-conservative) grouping, and control flips never invalidate the index.
-
-The executor seam (:class:`SerialIslandExecutor`,
-:class:`ThreadIslandExecutor`) is deliberately pluggable: serial is
-always available and byte-identical to the fused batched round; the
-thread pool pays off on free-threaded builds and multi-core machines.
-Process/interpreter pools are future work — justifications and
-constraints hold unpicklable object graphs, so shipping writes back
-would need an ordinal-mapping protocol.
+constraint's edge keeps its endpoints in one island.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Set
 
-__all__ = ["IslandIndex", "SerialIslandExecutor", "ThreadIslandExecutor",
-           "bfs_partition", "install_islands", "islands_for"]
+__all__ = ["bfs_partition", "island_stats"]
 
 
 def bfs_partition(variables: Any) -> List[List[Any]]:
-    """From-scratch reference partition by breadth-first search.
+    """The islands reachable from ``variables``, by breadth-first search.
 
     Walks ``all_constraints``/``arguments`` edges from every given
     variable and returns the connected components (each component's
-    variables in first-discovery order).  This is the specification the
-    incremental index must agree with — the property tests compare the
-    two — and the fallback used by island-aware sweeps when no index is
-    installed.
+    variables in visit order, components in the order of their first
+    given variable).
     """
     seen: Set[int] = set()
     components: List[List[Any]] = []
@@ -80,363 +47,8 @@ def bfs_partition(variables: Any) -> List[List[Any]]:
     return components
 
 
-class IslandIndex:
-    """Incrementally-maintained island partition of one context's network.
-
-    Installed as ``context.islands`` (the constructor installs it, like
-    :class:`~repro.core.plancache.PlanCache`).  The engine's structural
-    choke points — ``note_structure_link`` / ``note_structure_unlink``
-    on the context — feed :meth:`note_link` / :meth:`note_unlink`; every
-    query flushes pending lazy rebuilds first.
-
-    The index holds strong references to linked variables (the same
-    id-stability discipline as the plan cache's key states); a session
-    rebuild swaps the whole object graph and calls :meth:`rebind`.
-    """
-
-    def __init__(self, context: Any = None) -> None:
-        self.context = context
-        self._vars: Dict[int, Any] = {}      # id -> variable (strong ref)
-        self._parent: Dict[int, int] = {}    # union-find parent pointers
-        self._size: Dict[int, int] = {}      # root id -> member count
-        self._members: Dict[int, Set[int]] = {}  # root id -> member ids
-        self._dirty: Set[int] = set()        # ids with a pending rebuild
-        self._dirty_all = False
-        #: While frozen (a parallel island section is running), incoming
-        #: structural notes degrade to a full lazy invalidation instead
-        #: of mutating union-find state from a worker thread.
-        self._frozen = False
-        self.merges = 0
-        self.splits = 0
-        if context is not None:
-            context.islands = self
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def uninstall(self) -> None:
-        context = self.context
-        if context is not None and getattr(context, "islands", None) is self:
-            context.islands = None
-
-    def rebind(self, context: Any) -> None:
-        """Move to a new context (session rebuild/recovery), dropping the
-        whole partition — the new context is a different object graph.
-        Links flow back in as the new network is reconstructed."""
-        self.uninstall()
-        self._vars.clear()
-        self._parent.clear()
-        self._size.clear()
-        self._members.clear()
-        self._dirty.clear()
-        self._dirty_all = False
-        self.context = context
-        context.islands = self
-
-    def invalidate(self) -> None:
-        """Mark the whole partition stale (lazy full rebuild on flush)."""
-        self._dirty_all = True
-
-    def freeze(self) -> None:
-        self._frozen = True
-
-    def thaw(self) -> None:
-        self._frozen = False
-
-    # -- union-find core ----------------------------------------------------
-
-    def _find(self, key: int) -> int:
-        parent = self._parent
-        root = key
-        while parent[root] != root:
-            root = parent[root]
-        while parent[key] != root:  # path compression
-            parent[key], key = root, parent[key]
-        return root
-
-    def _register(self, variable: Any) -> int:
-        key = id(variable)
-        if key not in self._parent:
-            self._vars[key] = variable
-            self._parent[key] = key
-            self._size[key] = 1
-            self._members[key] = {key}
-        return key
-
-    def _union(self, a: int, b: int) -> bool:
-        root_a, root_b = self._find(a), self._find(b)
-        if root_a == root_b:
-            return False
-        if self._size[root_a] < self._size[root_b]:
-            root_a, root_b = root_b, root_a
-        self._parent[root_b] = root_a
-        self._size[root_a] += self._size.pop(root_b)
-        self._members[root_a].update(self._members.pop(root_b))
-        return True
-
-    def _relink(self, variable: Any) -> None:
-        key = self._register(variable)
-        for constraint in variable.all_constraints():
-            for argument in getattr(constraint, "arguments", ()):
-                self._union(key, self._register(argument))
-
-    def _absorb(self, variable: Any) -> None:
-        """Register an entire never-observed component by BFS.
-
-        A query met a variable the index has never seen a link for:
-        either it is genuinely free (no constraints — a true singleton)
-        or its structure predates the index's installation.  Walk its
-        whole component, registering and unioning everything reachable,
-        so late-installed indexes still group correctly.  (Components
-        whose *every* entry variable was registered post-install are
-        exact by construction; install the index before building the
-        network to avoid relying on this fallback.)
-        """
-        key = self._register(variable)
-        seen = {id(variable)}
-        frontier = [variable]
-        while frontier:
-            node = frontier.pop()
-            for constraint in node.all_constraints():
-                for argument in getattr(constraint, "arguments", ()):
-                    self._union(key, self._register(argument))
-                    if id(argument) not in seen:
-                        seen.add(id(argument))
-                        frontier.append(argument)
-
-    # -- structural choke-point hooks ---------------------------------------
-
-    def note_link(self, variable: Any, constraint: Any) -> None:
-        """``variable`` gained ``constraint``: eager-merge its islands."""
-        if self._frozen:
-            self._dirty_all = True
-            return
-        key = self._register(variable)
-        for argument in getattr(constraint, "arguments", ()):
-            if self._union(key, self._register(argument)):
-                self.merges += 1
-
-    def note_unlink(self, variable: Any, constraint: Any) -> None:
-        """``variable`` lost ``constraint``: the touched component may
-        have split — mark it for a lazy rebuild."""
-        if self._frozen:
-            self._dirty_all = True
-            return
-        parent = self._parent
-        if id(variable) in parent:
-            self._dirty.add(id(variable))
-        for argument in getattr(constraint, "arguments", ()):
-            if id(argument) in parent:
-                self._dirty.add(id(argument))
-
-    # -- lazy rebuild -------------------------------------------------------
-
-    def flush(self) -> None:
-        """Apply pending splits: rebuild only the dirty components.
-
-        Expansion first (a dirty id's *current* component may have eagerly
-        merged with a clean one since the unlink), then reset those
-        members to singletons and re-union along surviving edges.  The
-        coarsening invariant guarantees every surviving edge incident to
-        a rebuilt member stays inside the rebuilt set or reaches a clean
-        component through a registered endpoint — either way plain
-        re-union is complete.
-        """
-        if self._dirty_all:
-            self._dirty_all = False
-            self._dirty.clear()
-            before = len(self._members)
-            variables = list(self._vars.values())
-            self._vars.clear()
-            self._parent.clear()
-            self._size.clear()
-            self._members.clear()
-            for variable in variables:
-                self._relink(variable)
-            after = len(self._members)
-            if after > before:
-                self.splits += after - before
-            elif before > after:
-                self.merges += before - after
-            return
-        if not self._dirty:
-            return
-        roots: Set[int] = set()
-        rebuild: Set[int] = set()
-        for key in self._dirty:
-            if key not in self._parent:
-                continue
-            root = self._find(key)
-            if root not in roots:
-                roots.add(root)
-                rebuild |= self._members[root]
-        self._dirty.clear()
-        if not rebuild:
-            return
-        for root in roots:
-            del self._members[root]
-            del self._size[root]
-        for key in rebuild:
-            self._parent[key] = key
-            self._size[key] = 1
-            self._members[key] = {key}
-        for key in rebuild:
-            self._relink(self._vars[key])
-        after_roots = {self._find(key) for key in rebuild}
-        if len(after_roots) > len(roots):
-            self.splits += len(after_roots) - len(roots)
-
-    # -- queries (all flush first) ------------------------------------------
-
-    def island_count(self) -> int:
-        self.flush()
-        return len(self._members)
-
-    def largest_island(self) -> int:
-        self.flush()
-        return max(self._size.values(), default=0)
-
-    def island_of(self, variable: Any) -> List[Any]:
-        """Every variable sharing ``variable``'s island (itself included).
-
-        A variable the index has never observed is absorbed first (its
-        pre-existing component walked by BFS); a genuinely free variable
-        is its own singleton island.
-        """
-        self.flush()
-        key = id(variable)
-        if key not in self._parent:
-            self._absorb(variable)
-        return [self._vars[member]
-                for member in self._members[self._find(key)]]
-
-    def islands(self) -> List[List[Any]]:
-        """Deterministic listing: members sorted by qualified name,
-        islands ordered largest first (ties by first member name)."""
-        self.flush()
-        groups = []
-        for members in self._members.values():
-            variables = sorted((self._vars[key] for key in members),
-                               key=lambda v: v.qualified_name())
-            groups.append(variables)
-        groups.sort(key=lambda vs: (-len(vs), vs[0].qualified_name()))
-        return groups
-
-    def group_entries(self, entries: List[Tuple[Any, ...]]) -> List[List[Any]]:
-        """Group batch entries ``(variable, ...)`` by island.
-
-        Groups keep entry order and appear in first-occurrence order;
-        never-linked variables form singleton groups of their own.
-        """
-        self.flush()
-        parent = self._parent
-        grouped: "OrderedDict[int, List[Any]]" = OrderedDict()
-        for entry in entries:
-            key = id(entry[0])
-            if key not in parent:
-                self._absorb(entry[0])
-            grouped.setdefault(self._find(key), []).append(entry)
-        return list(grouped.values())
-
-    def stats(self) -> Dict[str, int]:
-        """Counters in deterministic sorted-key order."""
-        self.flush()
-        return {
-            "island_merges": self.merges,
-            "island_splits": self.splits,
-            "islands": len(self._members),
-            "largest_island": max(self._size.values(), default=0),
-        }
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{k}={v}" for k, v in self.stats().items())
-        return f"IslandIndex({body})"
-
-
-class SerialIslandExecutor:
-    """Run island rounds one after another in the calling thread.
-
-    Always available, no threads, and — because the engine merges
-    island-local effects identically whatever the executor — the result
-    is byte-identical to the fused single-queue batched round *and* to
-    any parallel executor.  This is the default backend and the one the
-    parity benchmarks gate.
-    """
-
-    workers = 1
-    parallel = False
-
-    def run(self, tasks: List[Callable[[], Any]]) -> List[Any]:
-        return [task() for task in tasks]
-
-    def close(self) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return "SerialIslandExecutor()"
-
-
-class ThreadIslandExecutor:
-    """Drain non-overlapping islands on a shared thread pool.
-
-    Island wavefronts touch disjoint variable sets, so the only shared
-    mutable state is each round's own bookkeeping — safe under the GIL
-    and genuinely parallel on free-threaded builds.  The pool is created
-    lazily and reused across batches.
-    """
-
-    parallel = True
-
-    def __init__(self, workers: int = 4) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be positive, not {workers}")
-        self.workers = workers
-        self._pool = None
-
-    def run(self, tasks: List[Callable[[], Any]]) -> List[Any]:
-        if len(tasks) == 1:
-            return [tasks[0]()]
-        pool = self._pool
-        if pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            pool = self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-island")
-        futures = [pool.submit(task) for task in tasks]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        pool = self._pool
-        if pool is not None:
-            self._pool = None
-            pool.shutdown(wait=True)
-
-    def __repr__(self) -> str:
-        return f"ThreadIslandExecutor(workers={self.workers})"
-
-
-def install_islands(context: Any, *, workers: Optional[int] = None) -> IslandIndex:
-    """Install (or fetch) the context's island index; optionally wire an
-    executor so ``assign_many`` drains islands independently.
-
-    ``workers=None`` installs the index only (partition queries and
-    stats, fused rounds unchanged); ``workers`` of 0 or 1 installs the
-    serial executor (island-structured rounds, one thread); ``workers``
-    greater than 1 installs a :class:`ThreadIslandExecutor` of that
-    width.
-    """
-    index = getattr(context, "islands", None)
-    if not isinstance(index, IslandIndex):
-        index = IslandIndex(context)
-    if workers is not None:
-        if workers > 1:
-            context.island_executor = ThreadIslandExecutor(workers)
-        else:
-            context.island_executor = SerialIslandExecutor()
-    return index
-
-
-def islands_for(context: Any) -> IslandIndex:
-    """The context's island index, creating one on first use."""
-    existing = getattr(context, "islands", None)
-    if isinstance(existing, IslandIndex):
-        return existing
-    return IslandIndex(context)
+def island_stats(partition: List[List[Any]]) -> Dict[str, int]:
+    """``islands`` and ``largest_island`` of a partition, in sorted-key
+    order."""
+    return {"islands": len(partition),
+            "largest_island": max(map(len, partition), default=0)}

@@ -20,23 +20,6 @@ class EqualityConstraint(Constraint):
     the dependency record is the single activating variable.
     """
 
-    plan_silent_on_none = True
-
-    def plan_derivation(self, target: Any, changed: Any):
-        """Plan-cache certification: forward the activating value."""
-        if changed is None or target is changed \
-                or changed not in self._arguments:
-            return None
-        from .plancache import NOT_DERIVED
-
-        def derive() -> Any:
-            value = changed.value
-            if value is None:
-                return NOT_DERIVED  # the engine would stay silent
-            return value
-
-        return derive
-
     def immediate_inference_by_changing(self, variable: Any) -> None:
         new_value = variable.value
         if new_value is None:
@@ -65,30 +48,6 @@ class CompatibleConstraint(Constraint):
     arguments; variables with an abstraction-aware overwrite rule (signal
     type variables) then keep the least abstract of the two.
     """
-
-    plan_silent_on_none = True
-
-    def plan_derivation(self, target: Any, changed: Any):
-        """Plan-cache certification: forward the compatible value.
-
-        An incompatibility deopts (``NOT_DERIVED``) rather than raising:
-        the general engine owns violation reporting.
-        """
-        if changed is None or target is changed \
-                or changed not in self._arguments:
-            return None
-        from .plancache import NOT_DERIVED
-
-        def derive() -> Any:
-            value = changed.value
-            if value is None:
-                return NOT_DERIVED
-            current = target.value
-            if current is not None and not _compatible(current, value):
-                return NOT_DERIVED
-            return value
-
-        return derive
 
     def immediate_inference_by_changing(self, variable: Any) -> None:
         new_value = variable.value

@@ -621,10 +621,9 @@ def compile_island_sweeps(inputs: Any, *,
     closures compile — and run — independently; a multi-module
     exploration becomes one small plan per module instead of one fused
     plan whose compile walks every module's closure together.  Inputs
-    are grouped by the context's :class:`~repro.core.islands.IslandIndex`
-    when one is installed (``context.islands``), else by a from-scratch
-    :func:`~repro.core.islands.bfs_partition`; within each group, input
-    order is preserved.  Returns the plans in first-input order.
+    are grouped by :func:`~repro.core.islands.bfs_partition`; within
+    each group, input order is preserved.  Returns the plans in
+    first-input order.
     """
     from .islands import bfs_partition
 
@@ -634,29 +633,15 @@ def compile_island_sweeps(inputs: Any, *,
     if not swept:
         raise SweepError("a sweep needs at least one swept variable")
     ctx = context if context is not None else swept[0].context
-    index = getattr(ctx, "islands", None)
-    grouped: Dict[int, List[Any]] = {}
-    order: List[int] = []
-    if index is not None:
-        for variable in swept:
-            island = index.island_of(variable)
-            key = min(id(member) for member in island)
-            if key not in grouped:
-                grouped[key] = []
-                order.append(key)
-            grouped[key].append(variable)
-    else:
-        components = bfs_partition(swept)
-        membership = {id(variable): root
-                      for root, component in enumerate(components)
-                      for variable in component}
-        for variable in swept:
-            key = membership[id(variable)]
-            if key not in grouped:
-                grouped[key] = []
-                order.append(key)
-            grouped[key].append(variable)
-    return [compile_sweep(grouped[key], context=ctx) for key in order]
+    # Every component starts from a swept variable, in first-input order.
+    components = bfs_partition(swept)
+    island_of = {id(variable): index
+                 for index, component in enumerate(components)
+                 for variable in component}
+    groups: List[List[Any]] = [[] for _ in components]
+    for variable in swept:
+        groups[island_of[id(variable)]].append(variable)
+    return [compile_sweep(group, context=ctx) for group in groups]
 
 
 def sweep(inputs: Any, candidates: Any, *, context: Any = None,

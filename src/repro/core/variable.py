@@ -206,21 +206,16 @@ class Variable:
 
     def add_constraint(self, constraint: Any) -> None:
         """Low-level link; use ``Constraint.attach``/``add_argument`` to edit
-        networks with re-propagation.  The universal choke point for
-        constraint links, so it notifies the context's structural hook
-        (advancing the topology epoch, which invalidates cached
-        propagation plans, and merging constraint-graph islands)."""
+        networks with re-propagation."""
         if constraint not in self.constraints:
             self.constraints.append(constraint)
-            self.context.note_structure_link(self, constraint)
 
     def remove_constraint(self, constraint: Any) -> None:
         """Low-level unlink (no dependency erasure)."""
         try:
             self.constraints.remove(constraint)
         except ValueError:
-            return
-        self.context.note_structure_unlink(self, constraint)
+            pass
 
     # -- dependency analysis ------------------------------------------------------
 

@@ -54,6 +54,7 @@ import json
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Set
 
+from ..core.islands import bfs_partition, island_stats
 from .codec import (
     EncodingError,
     UnknownAddress,
@@ -99,13 +100,11 @@ class SessionServer:
                  drain_timeout: float = 5.0,
                  opener: Any = None,
                  round_budget: Any = None,
-                 island_workers: Any = None,
                  store: Any = None) -> None:
         self.manager = SessionManager(root, fsync=fsync,
                                       max_sessions=max_sessions,
                                       opener=opener,
                                       round_budget=round_budget,
-                                      island_workers=island_workers,
                                       store=store)
         self.host = host
         self.port = port
@@ -580,14 +579,8 @@ class SessionServer:
     def _cmd_stats(self, message: Dict[str, Any]) -> Dict[str, Any]:
         session = self._session(message)
         stats = session.context.stats.snapshot()
-        cache = session.context.plan_cache
-        stats["plan_hits"] = cache.hits if cache is not None else 0
-        stats["plan_chain_hits"] = (cache.chain_hits
-                                    if cache is not None else 0)
-        stats["plan_deopts"] = cache.deopts if cache is not None else 0
-        islands = session.context.islands
-        if islands is not None:
-            stats.update(islands.stats())
+        stats.update(island_stats(bfs_partition(
+            variable for _address, variable in session.addressed_variables())))
         return {"stats": {key: stats[key] for key in sorted(stats)},
                 "position": session.position,
                 "store": self.manager.store_backend,

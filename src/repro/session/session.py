@@ -51,7 +51,6 @@ from time import perf_counter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.engine import PropagationContext, RoundBudget
-from ..core.islands import install_islands
 from ..core.justification import (
     APPLICATION,
     PropagatedJustification,
@@ -224,13 +223,6 @@ class Session:
     read_only:
         Recover state but open no writer and record no new mutations —
         the verification-replay mode.
-    island_workers:
-        Island-parallel batch draining (:mod:`repro.core.islands`).
-        ``None`` (default) installs the island index for partition
-        queries only; ``0``/``1`` drains multi-island batches through
-        the serial island executor; greater values drain disjoint
-        islands on that many threads.  Every setting is byte-identical
-        on disk and in fingerprints.
     opener:
         :class:`~repro.session.journal.FileOpener` used for every
         journal/checkpoint write — the fault-injection seam.  Defaults
@@ -263,7 +255,6 @@ class Session:
                  segment_max_bytes: int = DEFAULT_SEGMENT_BYTES,
                  keep_checkpoints: int = 2,
                  read_only: bool = False,
-                 island_workers: Optional[int] = None,
                  opener: Optional[FileOpener] = None,
                  store: Optional[Any] = None,
                  replay_to: Optional[int] = None) -> None:
@@ -297,12 +288,6 @@ class Session:
         self.context.handler = _ViolationLogHandler(self,
                                                     self.context.handler)
         self.context.recorder = self
-        # Install the island index before the library (and any journal
-        # replay) builds structure, so the partition observes every link
-        # from the start.  The index alone is cheap bookkeeping; batches
-        # only drain island-structured when island_workers is given, and
-        # concurrently when it exceeds 1.
-        install_islands(self.context, workers=island_workers)
         self.library = _fresh_library(name, self.context)
 
         if store is None and directory is not None:
@@ -967,10 +952,6 @@ class Session:
         return result
 
     def _apply_undo(self) -> None:
-        # Undo rewinds through erasure/re-derivation rounds (or a full
-        # rebuild) that a cached propagation plan has no trace for: force
-        # re-tracing by advancing the topology epoch first.
-        self.context.bump_topology_epoch()
         applied = self._effective.pop()
         self._redo.append(applied)
         entry = applied["entry"]
@@ -982,7 +963,6 @@ class Session:
         self._rebuild()
 
     def _apply_redo(self) -> None:
-        self.context.bump_topology_epoch()
         applied = self._redo.pop()
         self._apply_mutation(applied["entry"], clear_redo=False)
 
@@ -1129,19 +1109,6 @@ class Session:
         context.observer = previous.observer
         context.tracer = previous.tracer
         context.round_budget = previous.round_budget
-        plan_cache = getattr(previous, "plan_cache", None)
-        if plan_cache is not None:
-            # Checkpoint restore / rebuild: the new context holds a fresh
-            # object graph, so every cached plan is stale.  Rebinding
-            # drops them and re-installs the cache on the new context.
-            plan_cache.rebind(context)
-        islands = getattr(previous, "islands", None)
-        if islands is not None:
-            # Same story for the island partition: the rebuilt network is
-            # new objects, so the partition restarts empty and re-grows as
-            # load_library relinks constraints.  The executor carries over.
-            islands.rebind(context)
-            context.island_executor = previous.island_executor
         if previous.recorder is self:
             previous.recorder = None
         self.context = context

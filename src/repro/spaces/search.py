@@ -152,11 +152,10 @@ def _chunk(indices: Sequence[int], workers: int) -> List[List[int]]:
 
 def _detach_hooks(context: Any) -> None:
     """Disconnect a (cloned or forked) context from the parent's
-    journal, metrics, tracer, plan cache and open spaces."""
+    journal, metrics, tracer and open spaces."""
     context.recorder = None
     context.observer = None
     context.tracer = None
-    context.plan_cache = None
     context.shadow = None
     context.handler = WarningHandler()
 
@@ -175,24 +174,19 @@ def _map_threads(instance: CellInstance, cells: Sequence[CellClass],
     Each worker gets its own structural clone (instance + candidate
     classes + the whole connected context), so spaces in one worker
     never race another's.  The live context's hooks are detached for
-    the duration of the copy so clones never share a journal, observer
-    or plan cache with the parent.
+    the duration of the copy so clones never share a journal or
+    observer with the parent.
     """
     context = instance.cell_class.context
     saved = (context.recorder, context.observer, context.tracer,
-             context.plan_cache, context.shadow, context.handler)
-    context.recorder = None
-    context.observer = None
-    context.tracer = None
-    context.plan_cache = None
-    context.shadow = None
-    context.handler = WarningHandler()
+             context.shadow, context.handler)
+    _detach_hooks(context)
     try:
         clones = [copy.deepcopy((instance, list(cells)))
                   for _ in range(workers)]
     finally:
         (context.recorder, context.observer, context.tracer,
-         context.plan_cache, context.shadow, context.handler) = saved
+         context.shadow, context.handler) = saved
 
     chunks = _chunk(indices, workers)
     results: Dict[int, bool] = {}

@@ -25,15 +25,10 @@ Three engine seams feed the overlay:
   assignment (tentatively; a violating round drops it again) instead of
   the parent's write-ahead journal,
 * ``PropagationContext.shadow`` — the engine reports every non-silent
-  round's visited pre-states (``absorb_visited``), rollbacks
-  (``round_rolled_back``) and plan-cache replays (``absorb_undo``),
+  round's visited pre-states (``absorb_visited``) and rollbacks
+  (``round_rolled_back``),
 * ``PropagationContext.handler`` — violations inside the space land in
   ``Space.violations``, never in the parent's log.
-
-The plan cache stays installed but is re-bound to a fresh topology
-epoch at entry and at close (``bump_topology_epoch``), so plans warmed
-inside the space can never replay against the restored parent and vice
-versa.
 
 Structural edits (constraint add/remove, cell edits, session undo/redo/
 checkpoint) are **not** speculative: a session refuses them while a
@@ -128,10 +123,6 @@ class Space:
         context.recorder = self
         context.handler = _SpaceViolationHandler(self)
         context.shadow = self
-        # Plans recorded against the parent must not replay inside the
-        # space (their stats deltas and undo lists belong to the parent
-        # universe); a fresh epoch isolates the cache both ways.
-        context.bump_topology_epoch()
         self.state = "open"
         session = self._session
         if session is not None:
@@ -208,7 +199,7 @@ class Space:
         """Write-ahead capture of one speculative assignment.
 
         Tentative while the round runs: ``round_rolled_back`` drops it,
-        ``absorb_visited`` / ``absorb_undo`` confirm it.  With
+        ``absorb_visited`` confirms it.  With
         propagation disabled there is no round, so the entry confirms
         immediately (the store is unconditional).
         """
@@ -244,16 +235,6 @@ class Space:
                 overlay[variable] = pre_state
         self._pending = None
 
-    def absorb_undo(self, undo: List[Tuple[Any, Justification, Any]]) -> None:
-        """A plan-cache replay succeeded: its undo list carries the same
-        ``(variable, justification, value)`` pre-states a general round's
-        visited map would."""
-        overlay = self._overlay
-        for variable, justification, value in undo:
-            if variable not in overlay:
-                overlay[variable] = (justification, value)
-        self._pending = None
-
     def round_rolled_back(self) -> None:
         """The engine restored a non-silent round: the requested entries
         never happened, so they leave the commit log again."""
@@ -264,7 +245,7 @@ class Space:
     # -- endings ------------------------------------------------------------
 
     def _restore_parent(self) -> None:
-        """Undo the clone: overlay pre-states, stats, hooks, epoch."""
+        """Undo the clone: overlay pre-states, stats, hooks."""
         context = self._context
         for variable, (justification, value) in self._overlay.items():
             variable._store(value, justification)
@@ -274,9 +255,6 @@ class Space:
         context.recorder = self._saved_recorder
         context.handler = self._saved_handler
         context.shadow = self._saved_shadow
-        # Drop every plan warmed inside the space; the restored parent
-        # re-traces at its own fresh epoch.
-        context.bump_topology_epoch()
         session = self._session
         if session is not None:
             session._space_depth -= 1

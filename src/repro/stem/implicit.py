@@ -111,18 +111,11 @@ class ClassInstVar(ImplicitConstraintVariable):
         if instance_var not in self._instance_vars:
             self._instance_vars.append(instance_var)
             instance_var._class_var = self
-            # Implicit topology changed without a Variable.add_constraint
-            # link: notify the structural hook explicitly (plan
-            # invalidation + island merge — the class variable acts as
-            # the linking "constraint", its arguments spanning all
-            # registered instances).
-            self.context.note_structure_link(instance_var, self)
 
     def unregister_instance_var(self, instance_var: "InstanceInstVar") -> None:
         if instance_var in self._instance_vars:
             self._instance_vars.remove(instance_var)
             instance_var._class_var = None
-            self.context.note_structure_unlink(instance_var, self)
 
     # constraint half — reacting to a changed *instance* variable:
     # there is no instance-to-class propagation, only checking.

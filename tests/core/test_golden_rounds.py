@@ -362,19 +362,16 @@ def _record(session: Session) -> Dict[str, Any]:
             "fingerprint_sha256": _digest(session.fingerprint())}
 
 
-def run_history(name: str, directory: str,
-                island_workers: Any = None) -> Dict[str, Any]:
+def run_history(name: str, directory: str) -> Dict[str, Any]:
     """Run one history in a fresh durable session; record it live and
     after close -> reopen."""
-    session = Session(name, directory=directory, fsync="never",
-                      island_workers=island_workers)
+    session = Session(name, directory=directory, fsync="never")
     try:
         outcomes = HISTORIES[name](session)
         live = _record(session)
     finally:
         session.close()
-    reopened = Session(name, directory=directory, fsync="never",
-                       island_workers=island_workers)
+    reopened = Session(name, directory=directory, fsync="never")
     try:
         replayed = _record(reopened)
     finally:
@@ -393,17 +390,6 @@ def test_history_matches_golden_record(name, tmp_path):
     assert got["outcomes"] == expected["outcomes"]
     assert got["live"]["stats"] == expected["live"]["stats"]
     assert got["live"]["violations"] == expected["live"]["violations"]
-    assert got["live"] == expected["live"]
-    assert got["reopened"] == expected["reopened"]
-
-
-@pytest.mark.parametrize("name", ["spaces", "datapath"])
-def test_island_drained_history_matches_golden_record(name, tmp_path):
-    """The island executor answers to the same record as the fused round."""
-    expected = _golden()[name]
-    got = json.loads(json.dumps(run_history(name, str(tmp_path / name),
-                                            island_workers=1)))
-    assert got["outcomes"] == expected["outcomes"]
     assert got["live"] == expected["live"]
     assert got["reopened"] == expected["reopened"]
 

@@ -1,58 +1,37 @@
-"""Constraint-graph islands: partition correctness and parallel parity.
+"""Constraint-graph islands: the BFS partition and island-aware sweeps.
 
 The contract under test:
 
-* the incrementally-maintained :class:`IslandIndex` always agrees with
-  the from-scratch BFS reference partition, whatever sequence of
-  attach / remove / disable / enable operations produced the network
-  (hypothesis property);
-* an ``assign_many`` batch drained island-by-island — serial or
-  threaded executor, plan cache on or off — is observably identical to
-  the fused batched round: values, justification sources, violation
-  outcome, atomic rollback, and every ``PropagationStats`` counter;
-* the topology epoch advances exactly once per logical structural edit
-  (the satellite regression for the deduplicated choke points).
+* :func:`bfs_partition` returns the connected components of the raw
+  constraint graph — links merge, removals split, control state is
+  ignored, hierarchy duals connect class and instance variables;
+* :func:`compile_island_sweeps` compiles one sweep plan per island of
+  the swept inputs, in first-input order;
+* an ``assign_many`` batch spanning several islands is one fused round:
+  an error raised in one island restores every island and re-raises.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import (
     EqualityConstraint,
-    IslandIndex,
-    PlanCache,
     PropagationContext,
     ScaleOffsetConstraint,
-    SerialIslandExecutor,
-    ThreadIslandExecutor,
+    UniAdditionConstraint,
     UniMaximumConstraint,
     UpperBoundConstraint,
     Variable,
     bfs_partition,
     compile_island_sweeps,
     control_for,
-    install_islands,
-    source_constraint,
 )
-from repro.obs import Observer
 
 
-def canonical(partition):
-    """Order-free identity of a partition (sets of variable ids)."""
-    return frozenset(frozenset(id(v) for v in group) for group in partition)
+def names(partition):
+    return [sorted(v.name for v in group) for group in partition]
 
 
-def index_partition(index, variables):
-    """The index's partition restricted to ``variables`` via island_of."""
-    groups = {}
-    for variable in variables:
-        members = index.island_of(variable)
-        key = min(id(member) for member in members)
-        groups[key] = frozenset(id(member) for member in members)
-    return frozenset(groups.values())
-
-
-def build_motifs(context, count=4):
+def build_motifs(context, count):
     """Independent fig. 4.5 motifs: V1=V2, V4=max(V2, V3)."""
     entries, outputs = [], []
     for index in range(count):
@@ -67,175 +46,9 @@ def build_motifs(context, count=4):
     return entries, outputs
 
 
-def state_of(context, variables):
-    """Values, justification sources and stats — the parity contract."""
-    return [(v.value,
-             type(source_constraint(v.last_set_by)).__name__
-             if source_constraint(v.last_set_by) else None)
-            for v in variables] + [context.stats.snapshot()]
-
-
-class TestIndexMaintenance:
-    def test_links_merge_eagerly(self):
-        context = PropagationContext()
-        index = install_islands(context)
-        a = Variable(name="a", context=context)
-        b = Variable(name="b", context=context)
-        c = Variable(name="c", context=context)
-        EqualityConstraint(a, b)
-        assert index.stats()["islands"] == 1
-        EqualityConstraint(b, c)
-        stats = index.stats()
-        assert stats["islands"] == 1
-        assert stats["largest_island"] == 3
-        assert stats["island_merges"] >= 2
-
-    def test_removal_splits_lazily(self):
-        context = PropagationContext()
-        index = install_islands(context)
-        chain = [Variable(name=f"v{i}", context=context) for i in range(4)]
-        constraints = [EqualityConstraint(left, right)
-                       for left, right in zip(chain, chain[1:])]
-        assert index.stats()["islands"] == 1
-        constraints[1].remove()
-        stats = index.stats()
-        assert stats["islands"] == 2
-        assert stats["island_splits"] == 1
-        assert canonical(index.islands()) == canonical(bfs_partition(chain))
-
-    def test_control_flips_do_not_touch_the_partition(self):
-        """Disabling coarsens the *effective* graph only: the raw-graph
-        partition — and therefore grouping safety — is unchanged."""
-        context = PropagationContext()
-        index = install_islands(context)
-        a = Variable(name="a", context=context)
-        b = Variable(name="b", context=context)
-        constraint = EqualityConstraint(a, b)
-        before = index.stats()
-        control = control_for(context)
-        control.disable_constraint(constraint)
-        assert index.stats() == before
-        control.enable_constraint(constraint)
-        assert index.stats() == before
-
-    def test_late_installed_index_absorbs_existing_structure(self):
-        """Entries of one pre-existing island must land in one group even
-        when the index never observed the links that built it."""
-        context = PropagationContext()
-        a = Variable(name="a", context=context)
-        b = Variable(name="b", context=context)
-        EqualityConstraint(a, b)
-        lone = Variable(name="lone", context=context)
-        index = install_islands(context)  # after construction
-        groups = index.group_entries([(a, 1, None), (b, 2, None),
-                                      (lone, 3, None)])
-        assert [len(group) for group in groups] == [2, 1]
-
-    def test_islands_listing_is_deterministic(self):
-        context = PropagationContext()
-        index = install_islands(context)
-        pairs = []
-        for tag in ("z", "m", "a"):
-            left = Variable(name=f"{tag}1", context=context)
-            right = Variable(name=f"{tag}2", context=context)
-            EqualityConstraint(left, right)
-            pairs.append((left, right))
-        listing = index.islands()
-        assert [[v.qualified_name() for v in group] for group in listing] \
-            == [["a1", "a2"], ["m1", "m2"], ["z1", "z2"]]
-        assert listing == index.islands()
-
-    def test_stats_keys_are_sorted(self):
-        context = PropagationContext()
-        index = install_islands(context)
-        assert list(index.stats()) == sorted(index.stats())
-
-    def test_rebind_restarts_empty_on_the_new_context(self):
-        context = PropagationContext()
-        index = install_islands(context)
-        a = Variable(name="a", context=context)
-        b = Variable(name="b", context=context)
-        EqualityConstraint(a, b)
-        fresh = PropagationContext()
-        index.rebind(fresh)
-        assert fresh.islands is index
-        assert context.islands is None
-        assert index.stats()["islands"] == 0
-
-
-class TestPartitionProperty:
-    """The incremental partition equals the BFS reference partition."""
-
-    @given(script=st.lists(
-        st.tuples(st.sampled_from(["attach", "remove", "disable",
-                                   "enable"]),
-                  st.integers(min_value=0, max_value=9),
-                  st.integers(min_value=0, max_value=9)),
-        min_size=0, max_size=24))
-    @settings(max_examples=120, deadline=None)
-    def test_matches_bfs_after_any_edit_sequence(self, script):
-        context = PropagationContext()
-        index = install_islands(context)
-        variables = [Variable(name=f"v{i}", context=context)
-                     for i in range(10)]
-        constraints = []
-        control = None
-        for op, i, j in script:
-            if op == "attach":
-                if i != j:
-                    constraints.append(
-                        EqualityConstraint(variables[i], variables[j]))
-            elif op == "remove":
-                attached = [c for c in constraints if c.attached]
-                if attached:
-                    attached[i % len(attached)].remove()
-            else:
-                if control is None:
-                    control = control_for(context)
-                attached = [c for c in constraints if c.attached]
-                if attached:
-                    target = attached[i % len(attached)]
-                    if op == "disable":
-                        control.disable_constraint(target)
-                    else:
-                        control.enable_constraint(target)
-        assert index_partition(index, variables) \
-            == canonical(bfs_partition(variables))
-
-    @given(script=st.lists(
-        st.tuples(st.sampled_from(["attach", "remove"]),
-                  st.integers(min_value=0, max_value=7),
-                  st.integers(min_value=0, max_value=7)),
-        min_size=1, max_size=12))
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_matches_bfs_through_undo_and_redo(self, script):
-        """Session undo/redo replays structural edits; the partition must
-        track them exactly (undo of an add is a remove and vice versa)."""
-        from repro.session import Session
-
-        session = Session("islands-prop")
-        index = session.context.islands
-        variables = [session.make_variable(f"v{i}") for i in range(8)]
-        for op, i, j in script:
-            if op == "attach":
-                if i != j:
-                    session.add_constraint("equality",
-                                           [variables[i], variables[j]])
-            else:
-                cids = sorted(session.constraints)
-                if cids:
-                    session.remove_constraint(cids[i % len(cids)])
-        undone = 0
-        while session.can_undo() and undone < 4:
-            session.undo()
-            undone += 1
-            assert index_partition(index, variables) \
-                == canonical(bfs_partition(variables))
-        for _ in range(undone):
-            session.redo()
-            assert index_partition(index, variables) \
-                == canonical(bfs_partition(variables))
+def network_image(variables):
+    """Values plus justification identity — the rollback contract."""
+    return [(v.raw_value, v.last_set_by) for v in variables]
 
 
 class ExplodingConstraint(UpperBoundConstraint):
@@ -249,192 +62,43 @@ class ExplodingConstraint(UpperBoundConstraint):
         super().immediate_inference_by_changing(variable)
 
 
-def executors():
-    return [None, SerialIslandExecutor(), ThreadIslandExecutor(4)]
-
-
-class TestBatchParity:
-    @pytest.mark.parametrize("cache", [False, True])
-    @pytest.mark.parametrize("workers", [0, 4])
-    def test_island_rounds_match_fused_twin(self, cache, workers):
-        fused = PropagationContext()
-        island = PropagationContext()
-        if cache:
-            PlanCache(fused)
-            PlanCache(island)
-        install_islands(island, workers=workers)
-        f_entries, f_outputs = build_motifs(fused)
-        i_entries, i_outputs = build_motifs(island)
-
-        for round_no in range(3):  # register, trace, promote+replay
-            values = [9 + round_no + k for k in range(len(f_entries))]
-            assert fused.assign_many(list(zip(f_entries, values)))
-            assert island.assign_many(list(zip(i_entries, values)))
-            assert state_of(fused, f_entries + f_outputs) \
-                == state_of(island, i_entries + i_outputs)
-
-    @pytest.mark.parametrize("workers", [0, 4])
-    def test_violating_batch_rolls_back_every_island(self, workers):
-        fused = PropagationContext()
-        island = PropagationContext()
-        install_islands(island, workers=workers)
-        images = []
-        for context in (fused, island):
-            entries, outputs = build_motifs(context, count=3)
-            UpperBoundConstraint(outputs[1], 10)
-            images.append((entries, outputs))
-        f_entries, f_outputs = images[0]
-        i_entries, i_outputs = images[1]
-        batch = lambda entries: [(entries[0], 9), (entries[1], 99),
-                                 (entries[2], 12)]
-        assert not fused.assign_many(batch(f_entries))
-        assert not island.assign_many(batch(i_entries))
-        assert state_of(fused, f_entries + f_outputs) \
-            == state_of(island, i_entries + i_outputs)
-        # Both twins recorded exactly one violation, handled identically.
-        assert fused.stats.violations == island.stats.violations == 1
-
-    @pytest.mark.parametrize("workers", [0, 4])
-    def test_error_in_one_island_restores_and_reraises(self, workers):
-        fused = PropagationContext()
-        island = PropagationContext()
-        install_islands(island, workers=workers)
-        results = []
-        for context in (fused, island):
-            entries, outputs = build_motifs(context, count=3)
-            bomb = ExplodingConstraint(outputs[2], 1000)
-            results.append((entries, outputs, bomb))
-        for entries, outputs, bomb in results:
-            bomb.detonate = True
-            with pytest.raises(RuntimeError, match="boom"):
-                (entries[0].context).assign_many(
-                    [(entries[0], 9), (entries[2], 12)])
-            bomb.detonate = False
-        f_entries, f_outputs, _ = results[0]
-        i_entries, i_outputs, _ = results[1]
-        assert state_of(fused, f_entries + f_outputs) \
-            == state_of(island, i_entries + i_outputs)
-
-    def test_single_island_batch_stays_fused(self):
-        """Entries within one island take the ordinary fused path."""
+class TestBfsPartition:
+    def test_links_merge_and_removals_split(self):
         context = PropagationContext()
-        install_islands(context, workers=4)
-        chain = [Variable(name=f"v{i}", context=context) for i in range(3)]
-        EqualityConstraint(chain[0], chain[1])
-        EqualityConstraint(chain[1], chain[2])
-        with Observer.metrics_only(context) as observer:
-            assert context.assign_many([(chain[0], 5), (chain[0], 6)])
-        snapshot = observer.metrics.snapshot()
-        assert "engine.island.batches" not in snapshot
-        assert all(v.value == 6 for v in chain)
+        chain = [Variable(name=f"v{i}", context=context) for i in range(4)]
+        constraints = [EqualityConstraint(left, right)
+                       for left, right in zip(chain, chain[1:])]
+        assert names(bfs_partition(chain)) == [["v0", "v1", "v2", "v3"]]
+        constraints[1].remove()
+        assert names(bfs_partition(chain)) == [["v0", "v1"], ["v2", "v3"]]
 
-    def test_observer_counts_island_rounds(self):
-        context = PropagationContext()
-        install_islands(context, workers=4)
-        entries, _ = build_motifs(context, count=3)
-        with Observer.metrics_only(context) as observer:
-            assert context.assign_many(
-                [(entry, 9 + k) for k, entry in enumerate(entries)])
-        snapshot = observer.metrics.snapshot()
-        assert snapshot["engine.island.batches"] == 1
-        assert snapshot["engine.island.groups"] == 3
-        assert snapshot["engine.island.rounds"] == 3
-
-    def test_observer_counts_fallbacks(self):
-        context = PropagationContext()
-        install_islands(context, workers=4)
-        entries, outputs = build_motifs(context, count=2)
-        UpperBoundConstraint(outputs[0], 10)
-        with Observer.metrics_only(context) as observer:
-            assert not context.assign_many([(entries[0], 99),
-                                            (entries[1], 9)])
-        snapshot = observer.metrics.snapshot()
-        assert snapshot["engine.island.fallbacks"] == 1
-
-    @given(values=st.lists(st.integers(min_value=-50, max_value=50),
-                           min_size=2, max_size=6),
-           workers=st.sampled_from([0, 4]),
-           cache=st.booleans())
-    @settings(max_examples=40, deadline=None)
-    def test_parity_property(self, values, workers, cache):
-        """Twin contexts — fused vs island-structured (either executor,
-        cache on or off) — agree on every value, justification source
-        and stats counter for arbitrary batch values."""
-        fused = PropagationContext()
-        island = PropagationContext()
-        if cache:
-            PlanCache(fused)
-            PlanCache(island)
-        install_islands(island, workers=workers)
-        count = len(values)
-        f_entries, f_outputs = build_motifs(fused, count=count)
-        i_entries, i_outputs = build_motifs(island, count=count)
-        for _ in range(2):
-            assert fused.assign_many(list(zip(f_entries, values))) \
-                == island.assign_many(list(zip(i_entries, values)))
-            assert state_of(fused, f_entries + f_outputs) \
-                == state_of(island, i_entries + i_outputs)
-
-
-class TestEpochDiscipline:
-    """One logical structural edit advances the topology epoch once."""
-
-    def test_attach_of_multi_argument_constraint_bumps_once(self):
-        context = PropagationContext()
-        a = Variable(name="a", context=context)
-        b = Variable(name="b", context=context)
-        c = Variable(name="c", context=context)
-        before = context.topology_epoch
-        constraint = UniMaximumConstraint(a, [b, c])
-        assert context.topology_epoch == before + 1
-        before = context.topology_epoch
-        constraint.remove()
-        assert context.topology_epoch == before + 1
-
-    def test_argument_edits_bump_once_each(self):
+    def test_control_state_does_not_split_islands(self):
         context = PropagationContext()
         a = Variable(name="a", context=context)
         b = Variable(name="b", context=context)
         constraint = EqualityConstraint(a, b)
-        d = Variable(name="d", context=context)
-        before = context.topology_epoch
-        constraint.add_argument(d)
-        assert context.topology_epoch == before + 1
-        before = context.topology_epoch
-        constraint.remove_argument(d)
-        assert context.topology_epoch == before + 1
+        control_for(context).disable_constraint(constraint)
+        assert names(bfs_partition([a, b])) == [["a", "b"]]
 
-    def test_hierarchy_registration_bumps_once(self):
+    def test_hierarchy_duals_join_class_and_instances(self):
         from repro.stem.implicit import ClassInstVar, InstanceInstVar
 
         context = PropagationContext()
         class_var = ClassInstVar(name="class", context=context)
-        instance_var = InstanceInstVar(name="instance", context=context)
-        before = context.topology_epoch
-        class_var.register_instance_var(instance_var)
-        assert context.topology_epoch == before + 1
-        before = context.topology_epoch
-        class_var.unregister_instance_var(instance_var)
-        assert context.topology_epoch == before + 1
-
-    def test_control_mutation_bumps_once(self):
-        context = PropagationContext()
-        a = Variable(name="a", context=context)
-        b = Variable(name="b", context=context)
-        constraint = EqualityConstraint(a, b)
-        control = control_for(context)
-        before = context.topology_epoch
-        control.disable_constraint(constraint)
-        assert context.topology_epoch == before + 1
-        before = context.topology_epoch
-        control.enable_constraint(constraint)
-        assert context.topology_epoch == before + 1
+        first = InstanceInstVar(name="first", context=context)
+        second = InstanceInstVar(name="second", context=context)
+        class_var.register_instance_var(first)
+        class_var.register_instance_var(second)
+        assert names(bfs_partition([first])) \
+            == [["class", "first", "second"]]
+        class_var.unregister_instance_var(second)
+        assert names(bfs_partition([first, second])) \
+            == [["class", "first"], ["second"]]
 
 
 class TestIslandSweeps:
     def test_compile_island_sweeps_splits_disjoint_closures(self):
         context = PropagationContext()
-        install_islands(context)
         plans_inputs = []
         for index in range(3):
             source = Variable(name=f"s{index}", context=context)
@@ -451,11 +115,9 @@ class TestIslandSweeps:
 
     def test_same_island_inputs_share_one_plan(self):
         context = PropagationContext()
-        install_islands(context)
         a = Variable(name="a", context=context)
         b = Variable(name="b", context=context)
         total = Variable(name="total", context=context)
-        from repro.core import UniAdditionConstraint
         UniAdditionConstraint(total, [a, b])
         plans = compile_island_sweeps([a, b], context=context)
         assert len(plans) == 1
@@ -464,7 +126,7 @@ class TestIslandSweeps:
         assert outcome.values[total] == [11.0, 22.0]
 
     def test_without_an_index_bfs_grouping_applies(self):
-        context = PropagationContext()  # no island index installed
+        context = PropagationContext()
         x = Variable(name="x", context=context)
         y = Variable(name="y", context=context)
         rx = Variable(name="rx", context=context)
@@ -473,34 +135,28 @@ class TestIslandSweeps:
         assert len(plans) == 2
 
 
-class TestExecutors:
-    def test_serial_executor_runs_in_order(self):
-        executor = SerialIslandExecutor()
-        assert executor.run([lambda: 1, lambda: 2, lambda: 3]) == [1, 2, 3]
-        assert not executor.parallel
-        executor.close()
-
-    def test_thread_executor_preserves_result_order(self):
-        executor = ThreadIslandExecutor(4)
-        try:
-            import time
-
-            def task(index):
-                def run():
-                    time.sleep(0.002 * (3 - index))
-                    return index
-                return run
-
-            assert executor.run([task(i) for i in range(4)]) == [0, 1, 2, 3]
-            assert executor.parallel
-        finally:
-            executor.close()
-
-    def test_install_islands_executor_selection(self):
+class TestBatchParity:
+    @pytest.mark.parametrize("bystanders", [0, 4])
+    def test_error_in_one_island_restores_and_reraises(self, bystanders):
+        """A defective constraint raising in one island of a batch
+        restores every island, values and justifications, and re-raises;
+        islands outside the batch stay untouched, no violation is
+        recorded and the network stays usable."""
         context = PropagationContext()
-        index = install_islands(context)
-        assert context.island_executor is None
-        assert install_islands(context, workers=1) is index
-        assert isinstance(context.island_executor, SerialIslandExecutor)
-        install_islands(context, workers=3)
-        assert isinstance(context.island_executor, ThreadIslandExecutor)
+        entries, outputs = build_motifs(context, count=3 + bystanders)
+        assert len(bfs_partition(entries)) == 3 + bystanders
+        bomb = ExplodingConstraint(outputs[2], 1000)
+        watched = entries + outputs
+        before = network_image(watched)
+        batch = [(entries[0], 9), (entries[2], 12)]
+
+        bomb.detonate = True
+        with pytest.raises(RuntimeError, match="boom"):
+            context.assign_many(batch)
+        assert network_image(watched) == before
+        assert context.stats.violations == 0
+
+        bomb.detonate = False
+        assert context.assign_many(batch)
+        assert outputs[0].value == 9 and outputs[2].value == 12
+        assert [out.value for out in outputs[3:]] == [7] * bystanders

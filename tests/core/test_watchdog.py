@@ -12,7 +12,6 @@ from repro.core import (
     RoundBudget,
     Variable,
     default_context,
-    plan_cache_for,
 )
 from repro.obs import Observer
 
@@ -115,30 +114,3 @@ class TestWallTimeBudget:
         assert record.kind == "budget"
         assert "wall-time" in record.reason
         assert context.stats.budget_aborts == 1
-
-
-class TestPlanCacheInteraction:
-    def test_budget_guards_the_deopt_path_and_never_caches_aborts(self):
-        context = default_context()
-        variables = chain(50)
-        cache = plan_cache_for(context)
-        context.round_budget = RoundBudget(max_steps=5)
-        before = network_image(variables)
-        # First round records; it aborts, so nothing may be cached.
-        assert variables[0].set(9) is False
-        assert network_image(variables) == before
-        assert cache.stats()["promotions"] == 0
-        # Second round (same trigger) must abort identically, not replay
-        # a half-baked plan.
-        assert variables[0].set(9) is False
-        assert network_image(variables) == before
-        assert context.stats.budget_aborts == 2
-
-    def test_cached_plan_still_works_once_budget_is_lifted(self):
-        context = default_context()
-        variables = chain(10)
-        plan_cache_for(context)
-        context.round_budget = RoundBudget(max_steps=1000)
-        assert variables[0].set(4)
-        assert variables[0].set(6)
-        assert variables[-1].value == 6

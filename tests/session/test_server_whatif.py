@@ -134,9 +134,9 @@ class TestWhatIfCommit:
 
 
 class TestStatsFrame:
-    def test_stats_sorted_and_carry_batch_and_plan_counters(self, server):
-        """Issue 7 satellite: the stats frame includes the PR 6 batch
-        counter and the plan counters, keys deterministically sorted."""
+    def test_stats_sorted_with_batch_and_island_counters(self, server):
+        """The stats frame includes the batch coalescing counter and the
+        island partition, keys deterministically sorted."""
         with client_of(server) as client:
             handle = client.session("wi-stats")
             handle.make_var("x")
@@ -144,5 +144,4 @@ class TestStatsFrame:
             stats = client.call("stats", session="wi-stats")["stats"]
             assert list(stats) == sorted(stats)
             assert stats["coalesced_assignments"] == 1
-            for key in ("plan_hits", "plan_chain_hits", "plan_deopts"):
-                assert key in stats
+            assert stats["islands"] == stats["largest_island"] == 1

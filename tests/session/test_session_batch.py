@@ -13,7 +13,7 @@ import tempfile
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import APPLICATION, PlanCache, RoundBudget, Variable
+from repro.core import APPLICATION, RoundBudget, Variable
 from repro.session import Session
 from repro.session.journal import encode_entry, format_batch_body, _frame
 
@@ -153,29 +153,6 @@ class TestUndoRedo:
         with Session("batch", directory=directory,
                      read_only=True) as replayed:
             assert replayed.fingerprint() == expected
-
-
-class TestChainCachePurity:
-    def test_cache_on_and_off_sessions_agree_in_full(self):
-        """Twin sessions, identical batch history, one with a plan-chain
-        cache: FULL fingerprints (stats included) must be equal — the
-        replayed stats delta keeps even the counters identical."""
-        directory_a = tempfile.mkdtemp(prefix="repro-chain-a-")
-        directory_b = tempfile.mkdtemp(prefix="repro-chain-b-")
-        try:
-            with make_session(directory_a) as cached, \
-                    make_session(directory_b) as plain:
-                PlanCache(cached.context)
-                for index in range(10):
-                    value = 9 if index % 2 == 0 else 8
-                    batch = [("v:a", value), ("v:b", value + 1),
-                             ("v:c", value + 2)]
-                    assert cached.assign_many(batch)
-                    assert plain.assign_many(batch)
-                assert cached.fingerprint() == plain.fingerprint()
-        finally:
-            shutil.rmtree(directory_a, ignore_errors=True)
-            shutil.rmtree(directory_b, ignore_errors=True)
 
 
 value_strategy = st.one_of(

@@ -1,142 +1,28 @@
-"""Island-parallel sessions: byte-identity, stats frames, serial spaces.
+"""Island partitions of sessions: the stats frame and multi-module batches.
 
-The durability contract of island-structured batches: turning the
-feature on (``island_workers``) changes *nothing observable* — the
-journal bytes, the full fingerprint (values, justifications, violation
-log, stats) and the replayed recovery state are identical to a session
-that drains every batch fused.  The server's ``stats`` frame gains the
-island partition counters; speculative spaces keep draining serially.
+The server's ``stats`` frame reports ``islands`` and ``largest_island``,
+computed on demand by BFS over the session's addressed variables, so
+the counts depend only on the current network — not on the history of
+edits that built it.  A batch spanning several disjoint modules runs as
+one round and leaves every module's values as sequential assignment
+would.
 """
 
-import pathlib
-import shutil
-import tempfile
+import asyncio
 
-import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
-
+from repro.core import ScaleOffsetConstraint, bfs_partition
 from repro.session import Session
-
-VAR_NAMES = ["a", "b", "c", "d"]
-
-
-@pytest.fixture
-def twin_dirs():
-    fused = tempfile.mkdtemp(prefix="repro-island-off-")
-    island = tempfile.mkdtemp(prefix="repro-island-on-")
-    yield fused, island
-    shutil.rmtree(fused, ignore_errors=True)
-    shutil.rmtree(island, ignore_errors=True)
-
-
-def make_session(directory, **kwargs):
-    session = Session("twin", directory=directory, fsync="never", **kwargs)
-    for name in VAR_NAMES:
-        session.make_variable(name)
-    return session
-
-
-def journal_bytes(directory):
-    return b"".join(
-        segment.read_bytes()
-        for segment in sorted(pathlib.Path(directory).glob("wal-*.jsonl")))
-
-
-def drive(session):
-    """A workload mixing multi-island batches, violations and undo."""
-    session.add_constraint("equality", ["v:a", "v:b"])
-    session.add_constraint("upper-bound", ["v:c"], {"bound": 10})
-    assert session.assign_many([("v:a", 1), ("v:c", 2), ("v:d", 3)])
-    assert not session.assign_many([("v:a", 5), ("v:c", 99)])  # violates
-    assert session.assign_many([("v:c", 7), ("v:d", 8)])
-    session.undo()
-    assert session.assign_many([("v:a", 4), ("v:c", 9), ("v:d", 6)])
-
-
-class TestByteIdentity:
-    @pytest.mark.parametrize("workers", [0, 4])
-    def test_journal_fingerprint_and_stats_match_fused_twin(
-            self, twin_dirs, workers):
-        fused_dir, island_dir = twin_dirs
-        with make_session(fused_dir) as fused, \
-                make_session(island_dir, island_workers=workers) as island:
-            drive(fused)
-            drive(island)
-            assert island.fingerprint() == fused.fingerprint()
-            assert island.violations == fused.violations
-            assert island.context.stats.snapshot() \
-                == fused.context.stats.snapshot()
-        assert journal_bytes(island_dir) == journal_bytes(fused_dir)
-
-    def test_recovery_of_an_island_session_matches_live(self, twin_dirs):
-        _, island_dir = twin_dirs
-        with make_session(island_dir, island_workers=4) as live:
-            drive(live)
-            expected = live.fingerprint()
-        with Session("twin", directory=island_dir, fsync="never",
-                     island_workers=4) as recovered:
-            assert recovered.fingerprint() == expected
-
-    @given(batches=st.lists(
-        st.lists(st.tuples(st.sampled_from(VAR_NAMES),
-                           st.integers(min_value=-20, max_value=20)),
-                 min_size=1, max_size=6),
-        min_size=1, max_size=5))
-    @settings(max_examples=25, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_arbitrary_batches_are_twin_identical(self, batches):
-        """Parallel-on and parallel-off twins (plan cache on the side)
-        produce equal fingerprints for any batch sequence."""
-        from repro.core import PlanCache
-
-        with Session("twin") as fused, \
-                Session("twin", island_workers=4) as island:
-            PlanCache(fused.context)
-            PlanCache(island.context)
-            for session in (fused, island):
-                for name in VAR_NAMES:
-                    session.make_variable(name)
-                session.add_constraint("equality", ["v:a", "v:b"])
-                session.add_constraint("upper-bound", ["v:c"],
-                                       {"bound": 10})
-            for batch in batches:
-                entries = [(f"v:{name}", value) for name, value in batch]
-                assert fused.assign_many(entries) \
-                    == island.assign_many(entries)
-            assert island.fingerprint() == fused.fingerprint()
-
-
-class TestSpacesStaySerial:
-    def test_space_batches_bypass_island_draining(self):
-        """A speculative space installs a shadow; island-structured
-        draining is gated on shadow-free rounds, so the round *inside*
-        the space runs fused.  Only the commit — an ordinary parent
-        batch, shadow gone — may island-drain (here: exactly one island
-        batch for the two speculative rounds plus the commit)."""
-        from repro.obs import Observer
-
-        with Session("spacey", island_workers=4) as session:
-            a = session.make_variable("a")
-            b = session.make_variable("b")
-            with Observer.metrics_only(session.context) as observer:
-                with session.space() as space:
-                    assert space.assign_many([("v:a", 1), ("v:b", 2)])
-                    assert space.assign_many([("v:a", 3), ("v:b", 4)])
-                    space.commit()
-            snapshot = observer.metrics.snapshot()
-            assert snapshot.get("engine.island.batches", 0) == 1
-            assert a.value == 3 and b.value == 4
+from repro.session.client import SessionClient
+from repro.session.server import SessionServer
 
 
 class TestServerFrames:
     def test_stats_frame_reports_island_partition(self, tmp_path):
-        import asyncio
-
-        from repro.session.client import SessionClient
-        from repro.session.server import SessionServer
+        """Linking and then unlinking ``a`` and ``c`` leaves three
+        singleton islands, whatever the edit history."""
 
         async def run():
-            server = SessionServer(str(tmp_path), island_workers=2)
+            server = SessionServer(str(tmp_path))
             await server.start()
 
             def drive_client():
@@ -144,7 +30,10 @@ class TestServerFrames:
                     handle = client.session("s1")
                     a = handle.make_var("a")
                     b = handle.make_var("b")
+                    c = handle.make_var("c")
                     handle.assign_many([(a, 1), (b, 2)])
+                    cid = handle.add_constraint("equality", [a, c])
+                    handle.remove_constraint(cid)
                     return handle.stats()
             try:
                 return await asyncio.to_thread(drive_client)
@@ -154,18 +43,16 @@ class TestServerFrames:
         frame = asyncio.run(run())
         stats = frame["stats"]
         assert list(stats) == sorted(stats)
-        assert stats["islands"] == 2
+        assert stats["islands"] == 3
         assert stats["largest_island"] == 1
-        assert stats["island_merges"] == 0
-        assert stats["island_splits"] == 0
+        assert not any(key.startswith(("plan_", "island_"))
+                       for key in stats)
 
 
 class TestMultiModuleIntegration:
     def test_eight_module_hierarchy_batch(self):
-        """The tentpole workload shape: one batch touching every module
-        of a disjoint-module hierarchy drains island-per-module and is
-        value-identical to the fused twin."""
-        from repro.core import ScaleOffsetConstraint
+        """One batch touching every module of a disjoint-module design
+        runs as one round and settles each module's chain tail."""
 
         def build(session, modules=8, chain=16):
             heads = []
@@ -179,17 +66,13 @@ class TestMultiModuleIntegration:
                 tails.append(variables[-1])
             return heads, tails
 
-        with Session("fused") as fused, \
-                Session("island", island_workers=4) as island:
-            f_heads, f_tails = build(fused)
-            i_heads, i_tails = build(island)
-            assert island.context.islands.stats()["islands"] == 8
-            f_ok = fused.assign_many(
-                [(head, 10 * k) for k, head in enumerate(f_heads)])
-            i_ok = island.assign_many(
-                [(head, 10 * k) for k, head in enumerate(i_heads)])
-            assert f_ok and i_ok
-            assert [v.value for v in i_tails] == [v.value for v in f_tails] \
+        with Session("modules") as session:
+            heads, tails = build(session)
+            variables = [v for _address, v in session.addressed_variables()]
+            assert len(bfs_partition(variables)) == 8
+            rounds = session.context.stats.rounds
+            assert session.assign_many(
+                [(head, 10 * k) for k, head in enumerate(heads)])
+            assert session.context.stats.rounds == rounds + 1
+            assert [v.value for v in tails] \
                 == [10 * k + 15 for k in range(8)]
-            assert island.context.stats.snapshot() \
-                == fused.context.stats.snapshot()

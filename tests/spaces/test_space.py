@@ -6,8 +6,7 @@ import tempfile
 
 import pytest
 
-from repro.core import (EqualityConstraint, PlanCache, UpperBoundConstraint,
-                        Variable)
+from repro.core import EqualityConstraint, UpperBoundConstraint, Variable
 from repro.core.justification import TENTATIVE, USER
 from repro.core.violations import ViolationHandler
 from repro.obs import MetricsRegistry, Observer
@@ -173,21 +172,6 @@ class TestContextLifecycle:
             assert [(var.name, value) for var, value, _ in space.log] \
                 == [("a", 5)]
         assert a.value is None
-
-    def test_plan_cache_isolated_by_epochs(self, context):
-        a, b = linked_pair(context)
-        cache = PlanCache(context)
-        for value in (1, 2, 1, 2):
-            a.set(value)
-        assert cache.plan_count == 1
-        with Space(context) as space:
-            assert cache.plan_count == 0  # entry epoch bump dropped plans
-            for value in (3, 4, 3, 4):
-                space.assign(a, value)
-            assert cache.plan_count == 1  # warmed inside the space
-        assert cache.plan_count == 0      # exit epoch bump dropped those
-        a.set(9)                           # parent still fully functional
-        assert b.value == 9
 
 
 class TestSessionSpace:

@@ -208,36 +208,17 @@ class TestStats:
         assert snapshot["engine.stats.rounds"] >= 1
         assert all(name.startswith("engine.stats.") for name in snapshot)
 
-    def test_stats_includes_plan_counters(self, design_path):
+    def test_stats_includes_island_counters(self, design_path):
         code, text = run(["stats", design_path, "--json"])
         assert code == 0
         snapshot = json.loads(text)
-        assert snapshot["engine.stats.plan_hits"] == 0
-        assert snapshot["engine.stats.plan_deopts"] == 0
-
-
-class TestPlancacheStats:
-    def test_plancache_stats_text(self, design_path):
-        code, text = run(["plancache-stats", design_path, "--repeat", "6"])
-        assert code == 0
-        assert "plan cache after 6 pass(es)" in text
-        names = [line.strip().split(":", 1)[0]
-                 for line in text.splitlines()[1:] if line.strip()]
-        assert names == sorted(names)
-        assert "hits" in names and "deopts" in names and "misses" in names
-
-    def test_plancache_stats_json(self, design_path):
-        code, text = run(["plancache-stats", design_path, "--json"])
-        assert code == 0
-        snapshot = json.loads(text)
-        for key in ("hits", "misses", "deopts", "promotions",
-                    "invalidations", "epoch", "keys", "plans"):
-            assert key in snapshot
-        # the fixture's leaf delays promote and replay; the
-        # hierarchy-crossing round is refused (certification), not mis-planned
-        assert snapshot["promotions"] >= 1 and snapshot["hits"] >= 1
-        _, rerun = run(["plancache-stats", design_path, "--json"])
-        assert rerun == text
+        islands = snapshot["engine.stats.islands"]
+        largest = snapshot["engine.stats.largest_island"]
+        assert 1 <= islands and 1 <= largest
+        _, report = run(["islands", design_path, "--json"])
+        report = json.loads(report)
+        assert (report["islands"], report["largest_island"]) \
+            == (islands, largest)
 
 
 class TestMetrics:

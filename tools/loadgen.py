@@ -47,7 +47,7 @@ def _client_worker(host: str, port: int, index: int, requests: int,
             if modules > 1:
                 # Disjoint-module workload: one free variable per module
                 # (no shared constraints), every request one assign_many
-                # batch spanning all of them — the island-parallel shape.
+                # batch spanning all of them.
                 variables = [handle.make_var(f"load-m{j}", 0)
                              for j in range(modules)]
             else:
@@ -79,8 +79,7 @@ def run_load(host: str, port: int, *, clients: int = 8,
 
     ``modules`` > 1 switches each client from single-variable ``assign``
     mutations to ``assign_many`` batches spanning that many disjoint
-    module variables — the workload shape island-parallel draining
-    (``--island-workers``) accelerates.
+    module variables — one batched round per request.
 
     Returns ``{"clients", "requests", "modules", "errors",
     "total_requests", "seconds", "throughput_rps", "p50_ms", "p90_ms",
@@ -132,7 +131,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--modules", type=int, default=1,
                         help="disjoint module variables per client; above 1 "
                              "each request is one assign_many batch across "
-                             "them (exercises island-parallel draining)")
+                             "them")
     args = parser.parse_args(argv)
     report = run_load(args.host, args.port, clients=args.clients,
                       requests=args.requests, retries=args.retries,
