@@ -34,9 +34,10 @@ from ..session.journal import DEFAULT_SEGMENT_BYTES, _decode_line
 from ..store.base import (
     SegmentAppender,
     SessionStore,
+    check_keep_checkpoints,
     encode_checkpoint,
     load_latest_checkpoint,
-    prune_checkpoints,
+    prune_to_checkpoints,
 )
 
 __all__ = ["ReplicaError", "ReplicaGap", "ReplicaStore"]
@@ -73,6 +74,7 @@ class ReplicaStore:
                  store: Optional[Any] = None,
                  segment_max_bytes: int = DEFAULT_SEGMENT_BYTES,
                  keep_checkpoints: int = 2) -> None:
+        check_keep_checkpoints(keep_checkpoints)
         self.root = root
         self.segment_max_bytes = segment_max_bytes
         self.keep_checkpoints = keep_checkpoints
@@ -239,7 +241,6 @@ class ReplicaStore:
             return  # stale re-ship
         store.prepare()
         store.publish_checkpoint(seq, encode_checkpoint(checkpoint))
-        prune_checkpoints(store, self.keep_checkpoints)
         state.checkpoint_seq = seq
         if seq > state.position:
             # The snapshot supersedes everything we hold: recovery
@@ -252,25 +253,11 @@ class ReplicaStore:
                 except OSError:
                     pass
             state.position = seq
-            state.segment_key = None
-            state.segment_size = 0
-        else:
-            self._prune_covered(store, state, seq)
-
-    def _prune_covered(self, store: SessionStore, state: _SessionState,
-                       up_to_seq: int) -> None:
-        """Delete segments whose every entry is covered by a checkpoint
-        (mirror of :meth:`JournalWriter.prune` for the replica side)."""
-        segments = store.segments()
-        for index, (first, key) in enumerate(segments):
-            next_first = (segments[index + 1][0]
-                          if index + 1 < len(segments)
-                          else state.position + 1)
-            if next_first <= up_to_seq + 1 and key != state.segment_key:
-                try:
-                    store.delete_segment(key)
-                except OSError:
-                    pass
+        # Seal, as the primary does at a checkpoint: the next shipped
+        # line starts a new segment, which a later checkpoint can prune.
+        state.segment_key = None
+        state.segment_size = 0
+        prune_to_checkpoints(store, self.keep_checkpoints)
 
     # -- promotion sanity ---------------------------------------------------
 

@@ -31,18 +31,22 @@ Durability policy (``fsync``):
     power loss.  The default, and what the crash-recovery guarantees
     assume.
 ``"rotate"``
-    fsync only on segment rotation and :meth:`JournalWriter.sync`; a
-    crash may lose the OS-buffered tail of the current segment (but
-    never tear an earlier one).
+    fsync only on segment rotation, :meth:`JournalWriter.seal` and
+    :meth:`JournalWriter.sync`; a crash may lose the OS-buffered tail of
+    the current segment (but never tear an earlier one).
 ``"never"``
     buffer appends in the process; they reach the OS only on rotation,
-    :meth:`JournalWriter.sync` or close (benchmarks, throwaway
+    seal, :meth:`JournalWriter.sync` or close (benchmarks, throwaway
     sessions — a crash loses the buffered tail of the current segment).
 
 Segment rotation is atomic with respect to recovery: the new segment
 file is created, fsynced, and its directory entry fsynced *before* the
 writer switches to it, so a crash at any point leaves either the old
 segment as the tail or a valid (possibly empty) new one.
+
+A checkpoint seals the current segment (:meth:`JournalWriter.seal`), so
+the next append starts a new one and the segments a checkpoint covers
+can be deleted whole.
 """
 
 from __future__ import annotations
@@ -269,12 +273,17 @@ def encode_entry(entry: Dict[str, Any]) -> bytes:
 
     Every encoder used here emits compact, key-sorted JSON that
     ``json.loads`` reads back; the checksum always covers exactly the
-    bytes written, so mixed-encoder journals are fine.
+    bytes written, so mixed-encoder journals are fine.  Non-finite
+    floats are written as the stdlib writes them (``Infinity``,
+    ``-Infinity``, ``NaN``) on every path.
     """
     if _orjson is not None:
         try:
             data = _orjson.dumps(entry, option=_ORJSON_OPTIONS)
         except (TypeError, ValueError):  # e.g. an int beyond 64 bits
+            data = None
+        if data is None or b"null" in data:
+            # orjson writes inf and NaN as null; the stdlib keeps them.
             data = _ENCODER.encode(entry).encode("utf-8")
     else:
         body = _format_flat(entry)
@@ -606,74 +615,54 @@ class JournalWriter:
                 hook(new_appender.key)
         return new_appender
 
+    def seal(self) -> None:
+        """Close the current segment; the next append starts a new one.
+
+        A checkpoint seals the journal, so every segment before it ends
+        at or below the checkpoint's sequence number and can be pruned
+        whole.  A flush or sync error degrades the writer exactly as a
+        failed rotation does.
+        """
+        appender = self._appender
+        if appender is None:
+            return
+        try:
+            appender.flush()
+            if self.fsync == "rotate":  # "always" synced every append
+                appender.sync()
+        except OSError as error:
+            self._enter_degraded(error, rollback_size=None)
+        self._appender = None
+        appender.close()
+
     # -- maintenance --------------------------------------------------------
 
     def prune(self, up_to_seq: int) -> List[str]:
         """Delete whole segments whose every entry has ``seq <= up_to_seq``.
 
-        Called after a checkpoint: segments fully covered by the snapshot
-        are dead weight.  The segment containing ``up_to_seq + 1`` (and
-        anything later) is kept.  Returns the deleted paths.
+        The newest segment is always kept (see
+        :func:`repro.store.base.prune_segments`).  Returns the deleted
+        paths.
         """
-        segments = self._store.segments()
-        deleted: List[str] = []
-        for index, (first, key) in enumerate(segments):
-            next_first = (segments[index + 1][0]
-                          if index + 1 < len(segments) else self._next_seq)
-            if next_first <= up_to_seq + 1 and key != self._segment_key:
-                try:
-                    self._store.delete_segment(key)
-                except OSError:
-                    continue  # a stale covered segment is harmless
-                deleted.append(self._store.describe(key))
-        if deleted:
-            try:
-                self._store.sync_root()
-            except OSError:
-                pass
-        return deleted
+        from ..store.base import prune_segments
+        store = self._store
+        return [store.describe(key)
+                for key in prune_segments(store, up_to_seq)]
 
 
-def read_entries(directory: str, *, after_seq: int = 0,
+def read_entries(directory: str, *, after_seq: Optional[int] = None,
                  repair: bool = True) -> Iterator[Dict[str, Any]]:
-    """Yield journal entries with ``seq > after_seq`` in order.
+    """Yield the entries with ``seq > after_seq`` of a journal directory.
 
-    With ``repair`` (the default), a torn tail in the last segment is
-    truncated from the file so subsequent appends extend a clean journal.
-    Damage anywhere else raises :class:`JournalCorrupt`.
+    :func:`repro.store.base.read_store_entries` over the file layout: a
+    torn tail in the last segment is truncated (with ``repair``); other
+    damage, or a hole right after a given ``after_seq``, raises
+    :class:`JournalCorrupt`.
     """
-    segments = scan_segments(directory)
-    expected: Optional[int] = None
-    for index, (first, path) in enumerate(segments):
-        is_last = index == len(segments) - 1
-        offset = 0
-        with open(path, "rb") as handle:
-            for line in handle:
-                entry = _decode_line(line)
-                if entry is None or not isinstance(entry.get("seq"), int):
-                    if not is_last:
-                        raise JournalCorrupt(
-                            f"corrupt entry at byte {offset} of non-tail "
-                            f"segment {path}")
-                    if repair:
-                        _truncate(path, offset)
-                    return
-                seq = entry["seq"]
-                if expected is not None and seq != expected:
-                    raise JournalCorrupt(
-                        f"sequence gap in {path}: expected seq {expected}, "
-                        f"found {seq}")
-                expected = seq + 1
-                offset += len(line)
-                if seq > after_seq:
-                    yield entry
-
-
-def _truncate(path: str, offset: int) -> None:
-    with open(path, "r+b") as handle:
-        handle.truncate(offset)
-        handle.flush()
-        os.fsync(handle.fileno())
+    from ..store.base import read_store_entries
+    from ..store.filestore import FileSessionStore
+    return read_store_entries(FileSessionStore(directory),
+                              after_seq=after_seq, repair=repair)
 
 
 class JournalTailReader:

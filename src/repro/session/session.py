@@ -43,8 +43,6 @@ when the operations that created them replay — and are counted in
 
 from __future__ import annotations
 
-import json
-import os
 from collections import OrderedDict
 from contextlib import contextmanager
 from time import perf_counter
@@ -76,7 +74,6 @@ from .journal import (
     FileOpener,
     JournalWriter,
     _safe_str,
-    read_entries,
 )
 
 __all__ = [
@@ -88,9 +85,7 @@ __all__ = [
 ]
 
 STATE_SCHEMA = "repro-session/1"
-CHECKPOINT_PREFIX = "ckpt-"
 _INF = float("inf")
-CHECKPOINT_SUFFIX = ".json"
 
 #: Journaled request ids remembered per session for retry deduplication
 #: that survives a process kill (rebuilt from the journal on recovery).
@@ -220,6 +215,9 @@ class Session:
         survives the process).
     fsync:
         Journal durability policy (see :mod:`repro.session.journal`).
+    keep_checkpoints:
+        Checkpoints kept after each :meth:`checkpoint` (at least 1,
+        else ``ValueError``); the journal is kept back to the oldest.
     read_only:
         Recover state but open no writer and record no new mutations —
         the verification-replay mode.
@@ -263,6 +261,10 @@ class Session:
         self.directory = directory
         self.read_only = read_only
         self._opener = opener if opener is not None else DEFAULT_OPENER
+        # Lazy imports: repro.store.base imports this module's sibling
+        # journal, so a top-level import here would cycle.
+        from ..store import base as _storebase
+        _storebase.check_keep_checkpoints(keep_checkpoints)
         self.keep_checkpoints = keep_checkpoints
         self.vars: Dict[str, Variable] = {}
         self.constraints: Dict[str, Any] = {}
@@ -291,8 +293,6 @@ class Session:
         self.library = _fresh_library(name, self.context)
 
         if store is None and directory is not None:
-            # Lazy import: repro.store.base imports this module's
-            # sibling journal, so a top-level import here would cycle.
             from ..store.filestore import FileSessionStore
             store = FileSessionStore(directory, opener=self._opener)
         elif store is not None and directory is None:
@@ -301,7 +301,6 @@ class Session:
 
         state = None
         if store is not None:
-            from ..store import base as _storebase
             store.prepare()
             state = _storebase.load_latest_checkpoint(store, STATE_SCHEMA)
         if state is not None:
@@ -803,9 +802,13 @@ class Session:
 
         The snapshot composes the :mod:`repro.stem.persistence` library
         encoding with the session's variable/constraint registries and
-        the journal position.  Journal segments wholly covered by the
-        snapshot are pruned.  Clears the undo/redo window (a checkpoint
-        is a save point).
+        the journal position.  The journal's current segment is sealed,
+        so the next append starts a new one.  Once the snapshot is
+        durable, all but the newest ``keep_checkpoints`` checkpoints are
+        deleted, and so is every segment the oldest survivor covers:
+        recovery decodes only the journal written since that checkpoint,
+        and can still fall back to it.  Clears the undo/redo window (a
+        checkpoint is a save point).
         """
         if self.read_only:
             raise SessionError("read-only session cannot checkpoint")
@@ -816,12 +819,16 @@ class Session:
         path = None
         if self._store is not None:
             from ..store import base as _storebase
+            # Seal before the publish: a buffered journal hands the
+            # checkpoint entry to the backend before the snapshot
+            # naming its seq exists, and no segment goes until after.
+            if self._journal is not None:
+                self._journal.seal()
             path = self._store.publish_checkpoint(
                 self._base_state["seq"],
                 _storebase.encode_checkpoint(self._base_state))
-            if self._journal is not None:
-                self._journal.prune(self._last_seq)
-            _storebase.prune_checkpoints(self._store, self.keep_checkpoints)
+            _storebase.prune_to_checkpoints(self._store,
+                                            self.keep_checkpoints)
         self._observe("session_checkpoint", perf_counter() - t0)
         return path
 
@@ -1068,11 +1075,13 @@ class Session:
                     variable.last_set_by),
             })
         propagated = []
+        cids = {id(constraint): cid
+                for cid, constraint in self.constraints.items()}
         for address, variable in self.addressed_variables():
             justification = variable.last_set_by
             if not is_propagated(justification):
                 continue
-            cid = self._cid_of(justification.constraint)
+            cid = cids.get(id(justification.constraint))
             if cid is None:
                 continue  # library-internal source: re-derives on demand
             record = justification.dependency_record
@@ -1452,81 +1461,3 @@ def _fingerprint_value(value: Any) -> Any:
         return encode_value(value)
     except EncodingError:
         return {"__repr__": repr(value)}
-
-
-def _checkpoint_path(directory: str, seq: int) -> str:
-    return os.path.join(directory,
-                        f"{CHECKPOINT_PREFIX}{seq:010d}{CHECKPOINT_SUFFIX}")
-
-
-def _checkpoint_seq(name: str) -> Optional[int]:
-    if not (name.startswith(CHECKPOINT_PREFIX)
-            and name.endswith(CHECKPOINT_SUFFIX)):
-        return None
-    digits = name[len(CHECKPOINT_PREFIX):-len(CHECKPOINT_SUFFIX)]
-    return int(digits) if digits.isdigit() else None
-
-
-def _scan_checkpoints(directory: str) -> List[Tuple[int, str]]:
-    found = []
-    try:
-        names = os.listdir(directory)
-    except FileNotFoundError:
-        return found
-    for name in names:
-        seq = _checkpoint_seq(name)
-        if seq is not None:
-            found.append((seq, os.path.join(directory, name)))
-    found.sort()
-    return found
-
-
-def _load_latest_checkpoint(directory: str) -> Optional[Dict[str, Any]]:
-    """Newest checkpoint that parses and carries the expected schema;
-    damaged candidates are skipped (an older checkpoint plus a longer
-    journal replay still recovers)."""
-    for seq, path in reversed(_scan_checkpoints(directory)):
-        try:
-            with open(path) as handle:
-                state = json.load(handle)
-        except (OSError, ValueError):
-            continue
-        if isinstance(state, dict) and state.get("schema") == STATE_SCHEMA \
-                and isinstance(state.get("seq"), int):
-            return state
-    return None
-
-
-def _write_checkpoint(directory: str, state: Dict[str, Any], *,
-                      opener: FileOpener = DEFAULT_OPENER) -> str:
-    """Atomic checkpoint write: temp file, fsync, rename, fsync dir.
-
-    A failure before the rename leaves the previous checkpoint intact;
-    the orphaned temp file is removed best-effort before re-raising.
-    """
-    path = _checkpoint_path(directory, state["seq"])
-    temp = path + ".tmp"
-    try:
-        with opener(temp, "w") as handle:
-            json.dump(state, handle, separators=(",", ":"), sort_keys=True)
-            handle.flush()
-            opener.fsync(handle)
-        opener.replace(temp, path)
-    except OSError:
-        try:
-            os.remove(temp)
-        except OSError:
-            pass
-        raise
-    opener.fsync_dir(directory)
-    return path
-
-
-def _prune_checkpoints(directory: str, keep: int, *,
-                       opener: FileOpener = DEFAULT_OPENER) -> None:
-    checkpoints = _scan_checkpoints(directory)
-    for _seq, path in checkpoints[:-keep] if keep > 0 else checkpoints:
-        try:
-            opener.remove(path)
-        except OSError:
-            pass

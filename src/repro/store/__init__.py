@@ -38,6 +38,7 @@ from .base import (
     StoreGate,
     load_latest_checkpoint,
     prune_checkpoints,
+    prune_to_checkpoints,
     read_store_entries,
     store_tail_lines,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "StoreGate",
     "load_latest_checkpoint",
     "prune_checkpoints",
+    "prune_to_checkpoints",
     "read_store_entries",
     "resolve_store",
     "store_tail_lines",

@@ -60,10 +60,13 @@ __all__ = [
     "SegmentStore",
     "SessionStore",
     "StoreGate",
+    "check_keep_checkpoints",
     "checkpoint_name",
     "checkpoint_seq",
     "load_latest_checkpoint",
     "prune_checkpoints",
+    "prune_segments",
+    "prune_to_checkpoints",
     "read_store_entries",
     "segment_name",
     "store_tail_lines",
@@ -316,18 +319,25 @@ class SegmentStore:
 # Generic readers — recovery, pruning and tailing over any backend
 # ---------------------------------------------------------------------------
 
-def read_store_entries(store: SessionStore, *, after_seq: int = 0,
+def read_store_entries(store: SessionStore, *,
+                       after_seq: Optional[int] = None,
                        repair: bool = True) -> Iterator[Dict[str, Any]]:
     """Yield journal entries with ``seq > after_seq`` in order.
 
-    The store-generic twin of
-    :func:`repro.session.journal.read_entries`: a torn tail in the last
-    segment is truncated (with ``repair``) so later appends extend a
-    clean journal; damage anywhere else raises
-    :class:`~repro.session.journal.JournalCorrupt`.
+    The one journal reader of recovery: a torn tail in the last segment
+    is truncated (with ``repair``) so later appends extend a clean
+    journal; damage anywhere else raises
+    :class:`~repro.session.journal.JournalCorrupt`.  ``after_seq`` is
+    where replay stands — the loaded checkpoint's seq, or 0 without one.
+    Entries up to it are only CRC-checked; the ones after it must run
+    ``after_seq + 1, after_seq + 2, ...`` without a hole, else
+    :class:`~repro.session.journal.JournalCorrupt` (replay would
+    diverge).  ``None`` (the default) yields whatever the journal holds,
+    from its first entry on.
     """
+    start = after_seq if after_seq is not None else 0
+    expected = after_seq + 1 if after_seq is not None else None
     segments = store.segments()
-    expected: Optional[int] = None
     for index, (_first, key) in enumerate(segments):
         is_last = index == len(segments) - 1
         data = store.read_segment(key)
@@ -351,15 +361,16 @@ def read_store_entries(store: SessionStore, *, after_seq: int = 0,
                 if repair:
                     store.truncate_segment(key, offset)
                 return
+            offset += len(line)
             seq = entry["seq"]
+            if seq <= start:
+                continue  # covered by the checkpoint replay starts from
             if expected is not None and seq != expected:
                 raise JournalCorrupt(
                     f"sequence gap in {store.describe(key)}: expected "
                     f"seq {expected}, found {seq}")
             expected = seq + 1
-            offset += len(line)
-            if seq > after_seq:
-                yield entry
+            yield entry
 
 
 def store_tail_lines(store: SessionStore, *, after_seq: int = 0,
@@ -450,15 +461,66 @@ def load_latest_checkpoint(store: SessionStore,
     return None
 
 
-def prune_checkpoints(store: SessionStore, keep: int) -> None:
-    """Delete all but the newest ``keep`` checkpoint generations."""
+def check_keep_checkpoints(keep: int) -> None:
+    """Refuse to retain fewer than one checkpoint: the newest one is what
+    the pruned journal segments are covered by."""
+    if keep < 1:
+        raise ValueError(f"keep_checkpoints must be >= 1, not {keep}")
+
+
+def prune_checkpoints(store: SessionStore,
+                      keep: int) -> List[Tuple[int, str]]:
+    """Delete all but the newest ``keep`` checkpoint generations.
+
+    Returns the ``(seq, key)`` of every checkpoint still stored, oldest
+    first (one that failed to delete included).
+    """
+    check_keep_checkpoints(keep)
     checkpoints = store.checkpoints()
-    doomed = checkpoints[:-keep] if keep > 0 else checkpoints
-    for _seq, key in doomed:
+    undeleted: List[Tuple[int, str]] = []
+    for seq, key in checkpoints[:-keep]:
         try:
             store.delete_checkpoint(key)
         except OSError:
-            pass
+            undeleted.append((seq, key))
+    return undeleted + checkpoints[-keep:]
+
+
+def prune_segments(store: SessionStore, up_to_seq: int) -> List[str]:
+    """Delete whole segments whose every entry has ``seq <= up_to_seq``.
+
+    The newest segment is always kept: it is the one being appended to,
+    or the one a checkpoint just sealed.  Deletion runs oldest first and
+    stops at the first failure, so what survives never has a hole.
+    Returns the deleted keys.
+
+    The deletions are not synced: a covered segment that reappears
+    after a crash is never replayed, and the next prune deletes it.
+    """
+    segments = store.segments()
+    deleted: List[str] = []
+    for (_first, key), (next_first, _next) in zip(segments, segments[1:]):
+        if next_first > up_to_seq + 1:
+            break
+        try:
+            store.delete_segment(key)
+        except OSError:
+            break
+        deleted.append(key)
+    return deleted
+
+
+def prune_to_checkpoints(store: SessionStore, keep: int) -> List[str]:
+    """Keep the newest ``keep`` checkpoints and the journal they replay.
+
+    The prune rule of a checkpoint, run once it is durable: every
+    segment the oldest surviving checkpoint covers is deleted.
+    Recovery can then fall back to any retained checkpoint, and it
+    decodes at most the journal since the oldest one.  Returns the
+    deleted segment keys.
+    """
+    survivors = prune_checkpoints(store, keep)
+    return prune_segments(store, survivors[0][0]) if survivors else []
 
 
 def encode_checkpoint(state: Dict[str, Any]) -> bytes:

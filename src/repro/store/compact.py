@@ -29,9 +29,11 @@ from typing import Any, Callable, Dict, List, Optional
 from .base import (
     SegmentStore,
     SessionStore,
+    check_keep_checkpoints,
     encode_checkpoint,
     load_latest_checkpoint,
     prune_checkpoints,
+    prune_segments,
 )
 
 __all__ = ["CompactionWorker", "compact_session"]
@@ -50,6 +52,7 @@ def compact_session(store: SessionStore, *, name: str = "session",
     """
     if keep_segments < 1:
         raise ValueError("keep_segments must be >= 1")
+    check_keep_checkpoints(keep_checkpoints)
     report: Dict[str, Any] = {"session": name, "performed": False,
                               "checkpoint_seq": None,
                               "pruned_segments": []}
@@ -84,24 +87,7 @@ def compact_session(store: SessionStore, *, name: str = "session",
     report["performed"] = True
     report["checkpoint_seq"] = boundary
 
-    pruned: List[str] = []
-    survivors = store.segments()
-    for index, (first, key) in enumerate(survivors):
-        if index + 1 >= len(survivors):
-            break  # never the tail segment
-        next_first = survivors[index + 1][0]
-        if next_first <= boundary + 1:
-            try:
-                store.delete_segment(key)
-            except OSError:
-                continue
-            pruned.append(key)
-    if pruned:
-        try:
-            store.sync_root()
-        except OSError:
-            pass
-    report["pruned_segments"] = pruned
+    report["pruned_segments"] = prune_segments(store, boundary)
     prune_checkpoints(store, keep_checkpoints)
     return report
 

@@ -138,6 +138,55 @@ class TestCheckpoints:
         with pytest.raises(ReplicaError):
             store.apply("alpha", [], checkpoint={"no": "seq"})
 
+    def test_keep_checkpoints_must_be_positive(self, tmp_path):
+        with pytest.raises(ValueError, match="keep_checkpoints"):
+            ReplicaStore(str(tmp_path), keep_checkpoints=0)
+
+    def test_checkpoints_seal_and_prune_like_the_primary(self, tmp_path,
+                                                          monkeypatch):
+        """A follower kept current seals its segment when a checkpoint
+        arrives and prunes by the primary's rule, so its journal stays
+        a few checkpoint intervals long and a promotion replays little."""
+        from repro.store import base, load_latest_checkpoint, \
+            store_tail_lines
+        primary = Session("alpha", directory=str(tmp_path / "primary"))
+        replica = ReplicaStore(str(tmp_path / "replica"))
+
+        def ship():
+            lines = store_tail_lines(primary.store,
+                                     after_seq=replica.position("alpha"))
+            replica.apply("alpha", [line[:-1].decode()
+                                    for _seq, line in lines])
+            checkpoint = load_latest_checkpoint(primary.store)
+            replica.apply("alpha", [], checkpoint=checkpoint)
+
+        primary.make_variable("x")
+        for op in range(1, 500):
+            if op % 25 == 0:
+                primary.checkpoint()
+            else:
+                primary.assign("v:x", op)
+            if op % 10 == 0:
+                ship()
+                segments = replica.session_store("alpha").segments()
+                assert len(segments) <= 3
+        ship()
+        fingerprint = primary.fingerprint()
+        primary.close()
+
+        decode = base._decode_line
+        decoded = []
+        monkeypatch.setattr(
+            base, "_decode_line",
+            lambda line: decoded.append(line) or decode(line))
+        promoted = Session("alpha", directory=replica.session_dir("alpha"))
+        monkeypatch.setattr(base, "_decode_line", decode)
+        assert promoted.fingerprint() == fingerprint
+        promoted.close()
+        # Checkpoints reach the follower up to one shipping period
+        # late, so its segments end up to 10 entries past them.
+        assert len(decoded) <= 2 * 25 + 10
+
 
 class TestPromotion:
     def test_replica_recovers_to_the_primary_fingerprint(self, tmp_path):

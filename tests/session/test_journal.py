@@ -1,6 +1,7 @@
 """Write-ahead journal: format, durability, rotation, damage handling."""
 
 import json
+import math
 import os
 import zlib
 
@@ -43,14 +44,26 @@ class TestFormat:
         {"op": "assign", "var": "v:x", "value": None, "just": "USER"},
         {"op": "assign", "var": "v:x", "value": {"__tuple__": [1, 2]},
          "just": "USER"},
+        {"op": "assign", "var": "v:x", "value": math.inf, "just": "USER"},
+        {"op": "assign", "var": "v:x", "value": -math.inf, "just": "USER"},
+        {"op": "assign", "var": "v:x", "value": math.nan, "just": "USER"},
     ])
-    def test_all_encoder_paths_round_trip(self, entry):
+    def test_all_encoder_paths_round_trip(self, entry, monkeypatch):
         """Fast path, orjson and the stdlib fallback must agree on the
-        decoded entry (escaping, floats, nesting)."""
-        line = encode_entry(dict(entry, seq=7))
-        crc_hex, body = line[:-1].split(b" ", 1)
-        assert int(crc_hex, 16) == zlib.crc32(body) & 0xFFFFFFFF
-        assert json.loads(body) == dict(entry, seq=7)
+        decoded entry (escaping, floats, non-finite floats, nesting)."""
+        from repro.session import journal as journal_module
+        lines = [encode_entry(dict(entry, seq=7))]
+        monkeypatch.setattr(journal_module, "_orjson", None)
+        lines.append(encode_entry(dict(entry, seq=7)))
+        for line in lines:
+            crc_hex, body = line[:-1].split(b" ", 1)
+            assert int(crc_hex, 16) == zlib.crc32(body) & 0xFFFFFFFF
+            decoded, expected = json.loads(body), dict(entry, seq=7)
+            value = entry["value"]
+            if isinstance(value, float) and math.isnan(value):
+                assert math.isnan(decoded.pop("value"))
+                del expected["value"]
+            assert decoded == expected
 
     def test_stdlib_fallback_matches_accelerated_encoder(self, monkeypatch):
         """With orjson unavailable the stdlib path must produce entries
@@ -198,6 +211,42 @@ class TestDamage:
         lines = open(path, "rb").read().splitlines(keepends=True)
         with open(path, "wb") as handle:
             handle.write(lines[0] + lines[2] + lines[3])  # drop seq 2
+        with pytest.raises(JournalCorrupt, match="sequence gap"):
+            entries_of(str(tmp_path))
+
+    def test_hole_after_the_replay_position_raises(self, tmp_path):
+        """Replay from seq ``n`` needs seq ``n + 1`` next: a journal that
+        now starts later has lost entries, and replaying it would
+        silently diverge."""
+        with JournalWriter(str(tmp_path), fsync="never",
+                           segment_max_bytes=64) as writer:
+            for i in range(10):
+                writer.append({"op": "assign", "i": i})
+        segments = scan_segments(str(tmp_path))
+        os.remove(segments[0][1])
+        first = segments[1][0]
+        for after_seq in (0, first - 2):
+            with pytest.raises(JournalCorrupt, match="sequence gap"):
+                entries_of(str(tmp_path), after_seq=after_seq)
+        assert [e["seq"] for e in entries_of(str(tmp_path),
+                                             after_seq=first - 1)] \
+            == list(range(first, 11))
+
+    def test_gap_below_the_replay_position_is_not_replayed(self,
+                                                           tmp_path):
+        """A covered segment that reappears after a crash interrupted
+        its pruning leaves a gap replay never reaches."""
+        with JournalWriter(str(tmp_path), fsync="never",
+                           segment_max_bytes=64) as writer:
+            for i in range(10):
+                writer.append({"op": "assign", "i": i})
+        segments = scan_segments(str(tmp_path))
+        assert len(segments) > 3
+        os.remove(segments[1][1])
+        after_seq = segments[3][0] - 1
+        assert [e["seq"] for e in entries_of(str(tmp_path),
+                                             after_seq=after_seq)] \
+            == list(range(after_seq + 1, 11))
         with pytest.raises(JournalCorrupt, match="sequence gap"):
             entries_of(str(tmp_path))
 

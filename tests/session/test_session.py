@@ -1,5 +1,7 @@
 """Session semantics: journaling, undo/redo, checkpoint, determinism."""
 
+import math
+
 import pytest
 
 from repro.core.justification import USER
@@ -193,8 +195,10 @@ class TestCheckpoint:
             assert value == 3
             assert justification.constraint is r.constraints["c1"]
 
-    def test_checkpoint_prunes_covered_segments(self, tmp_path):
+    def test_checkpoint_prunes_covered_segments(self, tmp_path,
+                                                monkeypatch):
         from repro.session.journal import scan_segments
+        from repro.store import STORE_BACKENDS, base, resolve_store
         with Session("t", directory=str(tmp_path), fsync="never",
                      segment_max_bytes=256) as s:
             s.make_variable("x")
@@ -203,6 +207,67 @@ class TestCheckpoint:
             assert len(scan_segments(str(tmp_path))) > 1
             s.checkpoint()
             assert len(scan_segments(str(tmp_path))) == 1
+
+        # Recovery work is bounded by the checkpoint interval on every
+        # backend: with a checkpoint every 25 ops, the store holds at
+        # most three segments, and a reopen decodes at most two
+        # intervals of journal lines, however long the session ran.
+        # The run ends 24 ops past its last checkpoint, the longest
+        # tail an interval has.
+        decode = base._decode_line
+        decoded = []
+        for kind in STORE_BACKENDS:
+            root = resolve_store(kind, str(tmp_path / kind))
+            try:
+                s = Session("t", store=root.session("t"), fsync="never")
+                s.make_variable("x")
+                for op in range(1, 1000 + 25):
+                    if op % 25 == 0:
+                        s.checkpoint()
+                    else:
+                        s.assign("v:x", op)
+                    assert len(root.session("t").segments()) <= 3
+                live = s.fingerprint()
+                s.close()
+                monkeypatch.setattr(
+                    base, "_decode_line",
+                    lambda line: decoded.append(line) or decode(line))
+                del decoded[:]
+                reopened = Session("t", store=root.session("t"),
+                                   read_only=True)
+                monkeypatch.setattr(base, "_decode_line", decode)
+                assert reopened.fingerprint() == live
+                reopened.close()
+                assert len(decoded) <= 2 * 25 + 1, kind
+            finally:
+                root.close()
+
+    def test_fallback_checkpoint_keeps_the_journal_it_replays(self,
+                                                              tmp_path):
+        """With the newest checkpoint damaged, recovery falls back to
+        the older one; the journal after it must still be there."""
+        with Session("t", directory=str(tmp_path), fsync="never",
+                     segment_max_bytes=300) as s:
+            s.make_variable("x")
+            for i in range(10):
+                s.assign("v:x", i)
+            s.checkpoint()  # seq 12
+            for i in range(10):
+                s.assign("v:x", 100 + i)
+            s.checkpoint()  # seq 23
+            for i in range(5):
+                s.assign("v:x", 200 + i)
+            live = s.fingerprint()
+        newest = tmp_path / "ckpt-0000000023.json"
+        assert newest.exists()
+        newest.write_bytes(b"")
+        with replay(tmp_path) as r:
+            assert r.replayed_entries == 16  # from seq 13 on
+            assert r.fingerprint() == live
+
+    def test_keep_checkpoints_must_be_positive(self, tmp_path):
+        with pytest.raises(ValueError, match="keep_checkpoints"):
+            Session("t", directory=str(tmp_path), keep_checkpoints=0)
 
     def test_corrupt_checkpoint_falls_back_to_older_one(self, tmp_path):
         import glob
@@ -218,6 +283,22 @@ class TestCheckpoint:
         with replay(tmp_path) as r:
             assert r.get("v:x")[0] == 2
             assert r.fingerprint(include_stats=False) == live
+
+
+class TestNonFiniteValues:
+    def test_infinite_bound_and_assigns_survive_reopen(self, tmp_path):
+        with Session("t", directory=str(tmp_path), fsync="never") as s:
+            s.make_variable("x", 1.0)
+            s.make_variable("y")
+            s.add_constraint("upper-bound", ["v:y"],
+                             params={"bound": math.inf})
+            s.assign("v:x", math.inf)
+            s.assign("v:y", -math.inf)
+            live = s.fingerprint()
+        with replay(tmp_path) as r:
+            assert r.get("v:x")[0] == math.inf
+            assert r.get("v:y")[0] == -math.inf
+            assert r.fingerprint() == live
 
 
 class TestReplayDeterminism:

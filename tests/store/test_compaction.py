@@ -132,6 +132,24 @@ class TestCompactSession:
         finally:
             root.close()
 
+    def test_keep_checkpoints_zero_is_refused_untouched(self, kind,
+                                                        tmp_path):
+        """Keeping no checkpoint would delete the one that covers the
+        pruned segments; the request fails before anything changes."""
+        root = resolve_store(kind, str(tmp_path))
+        try:
+            grow(root, assigns=30)
+            store = root.session("session")
+            before = fingerprint(kind, tmp_path)
+            segments = store.segments()
+            with pytest.raises(ValueError, match="keep_checkpoints"):
+                compact_session(store, keep_checkpoints=0)
+            assert store.segments() == segments
+            assert store.checkpoints() == []
+            assert fingerprint(kind, tmp_path) == before
+        finally:
+            root.close()
+
 
 class TestCompactionCrashWindows:
     """A kill during the compaction publish must lose nothing — the

@@ -18,6 +18,7 @@ from repro.store import (
     STORE_BACKENDS,
     load_latest_checkpoint,
     prune_checkpoints,
+    prune_to_checkpoints,
     read_store_entries,
     resolve_store,
     store_tail_lines,
@@ -154,6 +155,34 @@ class TestCheckpointContract:
                     {"seq": seq}))
             prune_checkpoints(store, 2)
             assert [seq for seq, _key in store.checkpoints()] == [6, 9]
+            with pytest.raises(ValueError, match="keep_checkpoints"):
+                prune_checkpoints(store, 0)
+            assert [seq for seq, _key in store.checkpoints()] == [6, 9]
+        finally:
+            root.close()
+
+    def test_prune_keeps_the_journal_of_the_oldest_survivor(self, kind,
+                                                            tmp_path):
+        """Segments go only once the oldest retained checkpoint covers
+        every entry in them, and the newest segment always stays."""
+        root = make_root(kind, tmp_path)
+        try:
+            store = root.session("alpha")
+            store.prepare()
+            for first in (1, 4, 7, 10):
+                append(store, first, 3)
+            for seq in (3, 6, 9, 12):
+                store.publish_checkpoint(seq, encode_checkpoint(
+                    {"seq": seq}))
+            assert prune_to_checkpoints(store, 2) == [segment_name(1),
+                                                      segment_name(4),
+                                                      segment_name(7)]
+            assert [seq for seq, _key in store.checkpoints()] == [9, 12]
+            assert [first for first, _key in store.segments()] == [10]
+            assert [e["seq"] for e in read_store_entries(
+                store, after_seq=9)] == [10, 11, 12]
+            assert prune_to_checkpoints(store, 1) == []
+            assert [first for first, _key in store.segments()] == [10]
         finally:
             root.close()
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 
 import pytest
 
@@ -253,3 +254,26 @@ class TestProfile:
             trace = json.load(handle)
         assert any(e["ph"] == "X" for e in trace["traceEvents"])
         assert trace["otherData"]["design"] == design_path
+
+
+class TestStoreCompact:
+    def test_keep_checkpoints_zero_exits_2_and_leaves_the_store(
+            self, tmp_path, capsys):
+        from repro.session import Session
+        from repro.store import FileStore
+        root = FileStore(str(tmp_path))
+        session = Session("s", store=root.session("s"),
+                          segment_max_bytes=200)
+        session.make_variable("x")
+        for value in range(30):
+            session.assign("v:x", value)
+        session.close()
+        listing = sorted(os.listdir(tmp_path / "s"))
+        code, text = run(["store-compact", "--root", str(tmp_path),
+                          "--session", "s", "--keep-checkpoints", "0"])
+        assert code == 2
+        assert "keep_checkpoints must be >= 1" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path / "s")) == listing
+        reopened = Session("s", store=root.session("s"), read_only=True)
+        assert reopened.get("v:x")[0] == 29
+        reopened.close()
