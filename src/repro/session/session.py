@@ -311,6 +311,7 @@ class Session:
             self._base_state = self._snapshot_state()
         if store is not None:
             t0 = perf_counter()
+            last_op = "checkpoint" if state is not None else None
             for entry in _storebase.read_store_entries(
                     store, after_seq=self._last_seq,
                     repair=not read_only):
@@ -318,6 +319,7 @@ class Session:
                     break
                 self._apply_entry(entry)
                 self._last_seq = entry["seq"]
+                last_op = entry["op"]
                 self.replayed_entries += 1
                 rid = entry.get("rid")
                 if rid is not None:
@@ -332,6 +334,10 @@ class Session:
                     segment_max_bytes=segment_max_bytes,
                     observer=_JournalObserverProxy(self),
                     opener=self._opener)
+                if last_op == "checkpoint":
+                    # That checkpoint sealed the tail segment; appending
+                    # to it would keep the interval before it unprunable.
+                    self._journal.seal()
         self._recording = not read_only
 
     # -- lifecycle ----------------------------------------------------------

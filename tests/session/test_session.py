@@ -265,6 +265,25 @@ class TestCheckpoint:
             assert r.replayed_entries == 16  # from seq 13 on
             assert r.fingerprint() == live
 
+    def test_reopen_after_a_checkpoint_keeps_the_segment_sealed(self,
+                                                                tmp_path):
+        """Appends after a reopen start a new segment, so the next
+        checkpoint prunes the interval before the reopen."""
+        from repro.session.journal import scan_segments
+        with Session("t", directory=str(tmp_path), fsync="never") as s:
+            s.make_variable("x")
+            for i in range(10):
+                s.assign("v:x", i)
+            s.checkpoint()  # seq 12
+        with Session("t", directory=str(tmp_path), fsync="never") as s:
+            for i in range(10):
+                s.assign("v:x", 100 + i)
+            s.checkpoint()  # seq 23
+            live = s.fingerprint()
+        assert [first for first, _ in scan_segments(str(tmp_path))] == [13]
+        with replay(tmp_path) as r:
+            assert r.fingerprint() == live
+
     def test_keep_checkpoints_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="keep_checkpoints"):
             Session("t", directory=str(tmp_path), keep_checkpoints=0)
