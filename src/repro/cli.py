@@ -424,7 +424,6 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
                                    max_seconds=args.round_budget_seconds)
     server = SessionServer(args.root, host=args.host, port=args.port,
                            fsync=args.fsync,
-                           request_timeout=args.request_timeout,
                            max_frame_bytes=args.max_frame_bytes,
                            max_connections=args.max_connections,
                            drain_timeout=args.drain_timeout,
@@ -458,7 +457,6 @@ def cmd_fleet_worker(args: argparse.Namespace, out) -> int:
 
     server = WorkerServer(args.root, worker_id=args.id, host=args.host,
                           port=args.port, fsync=args.fsync,
-                          request_timeout=args.request_timeout,
                           store=args.store)
 
     async def run() -> None:
@@ -796,7 +794,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--fsync", default="always",
                          choices=["always", "rotate", "never"],
                          help="journal durability policy")
-    p_serve.add_argument("--request-timeout", type=float, default=30.0)
     p_serve.add_argument("--max-connections", type=int, default=64,
                          help="client connection limit; excess accepts "
                               "get a graceful 'overloaded' frame")
@@ -810,8 +807,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="propagation watchdog: abort any round "
                               "running longer than S seconds")
     p_serve.add_argument("--drain-timeout", type=float, default=5.0,
-                         help="seconds to let in-flight requests finish "
-                              "on shutdown")
+                         help="seconds to let connections flush their "
+                              "replies and close on shutdown")
     p_serve.add_argument("--store", default=None, metavar="BACKEND[:PATH]",
                          help="durable storage backend: file (default), "
                               "sqlite[:db-path] or object[:bucket-path]")
@@ -828,7 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fworker.add_argument("--port", type=int, default=0)
     p_fworker.add_argument("--fsync", default="always",
                            choices=["always", "rotate", "never"])
-    p_fworker.add_argument("--request-timeout", type=float, default=30.0)
     p_fworker.add_argument("--store", default=None,
                            metavar="BACKEND[:PATH]",
                            help="durable storage backend: file (default), "

@@ -44,8 +44,8 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 from ..obs.metrics import MetricsRegistry
 from ..session.retry import RetryPolicy
 from ..session.server import (
+    _FRAME_ENCODER,
     _MAX_LINE,
-    _READ_CHUNK,
     _RequestError,
     _encode_frame,
     _too_long_frame,
@@ -63,6 +63,7 @@ _FLEET_INTERNAL = frozenset({"repl-export", "repl-apply", "repl-position",
                              "store-scrub", "store-repair"})
 
 _DEFAULT_REPL_INTERVAL = 0.25
+_READ_CHUNK = 1 << 16
 
 
 class FleetError(RuntimeError):
@@ -73,14 +74,60 @@ class WorkerGone(FleetError):
     """A worker is unreachable after paced reconnect attempts."""
 
 
+class _LinkProtocol(asyncio.Protocol):
+    """The worker connection of one :class:`WorkerLink`: resolve each
+    response line's future as the line arrives, in ``data_received``."""
+
+    def __init__(self, link: "WorkerLink") -> None:
+        self.link = link
+        self.transport: Any = None
+        self.buffer = bytearray()
+        #: Clear while the write buffer is over its high-water mark.
+        self.writable = asyncio.Event()
+        self.writable.set()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self.buffer
+        buffer += data
+        start = 0
+        while True:
+            newline = buffer.find(b"\n", start)
+            if newline < 0:
+                break
+            self.link._resolve(bytes(buffer[start:newline + 1]))
+            start = newline + 1
+        del buffer[:start]
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if self.link._protocol is self:
+            self.link._drop()
+        self.writable.set()  # writers go on to their failed futures
+
+    def pause_writing(self) -> None:
+        self.writable.clear()
+
+    def resume_writing(self) -> None:
+        self.writable.set()
+
+
+def _time_out(future: asyncio.Future) -> None:
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
+
+
 class WorkerLink:
     """One multiplexed JSON-line connection to a worker.
 
     Frames from many client connections share the link, so requests are
-    re-keyed onto link-local ids and demultiplexed back through futures.
-    Reconnects are paced by a :class:`~repro.session.retry.RetryPolicy`;
-    when it is exhausted the link raises :class:`WorkerGone` and fails
-    every in-flight future, letting the router fail the session over.
+    re-keyed onto link-local ids and demultiplexed back through futures,
+    which the connection's protocol resolves as response lines arrive.
+    A request times out through a timer on its future.  Reconnects are
+    paced by a :class:`~repro.session.retry.RetryPolicy`; when it is
+    exhausted the link raises :class:`WorkerGone` and fails every
+    in-flight future, letting the router fail the session over.
     """
 
     def __init__(self, worker_id: str, host: str, port: int, *,
@@ -96,34 +143,32 @@ class WorkerLink:
         #: Frames sent on every (re)connect before regular traffic —
         #: e.g. ``repl-config`` turning response piggyback off.
         self.setup = list(setup or [])
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._read_task: Optional[asyncio.Task] = None
+        self._protocol: Optional[_LinkProtocol] = None
         self._futures: Dict[str, asyncio.Future] = {}
         self._ids = itertools.count(1)
         self._connect_lock: Optional[asyncio.Lock] = None
         self._closed = False
 
-    @property
-    def connected(self) -> bool:
-        return self._writer is not None
-
     async def _ensure(self) -> None:
         if self._closed:
             raise WorkerGone(f"worker {self.worker_id!r} is closed")
+        if self._protocol is not None:
+            return
         if self._connect_lock is None:
             self._connect_lock = asyncio.Lock()
         async with self._connect_lock:
-            if self._writer is not None:
+            if self._protocol is not None:
                 return
+            loop = asyncio.get_running_loop()
             attempt = 0
             while True:
                 try:
-                    self._reader, self._writer = \
-                        await asyncio.open_connection(
-                            self.host, self.port, limit=_MAX_LINE)
-                    self._read_task = asyncio.ensure_future(
-                        self._read_loop(self._reader))
+                    _transport, self._protocol = \
+                        await loop.create_connection(
+                            lambda: _LinkProtocol(self),
+                            self.host, self.port)
+                    # The first setup frame is written before anything
+                    # yields, and a worker answers frames in order.
                     for frame in self.setup:
                         link_id = f"x{next(self._ids)}"
                         await self._exchange(
@@ -138,47 +183,32 @@ class WorkerLink:
                     attempt += 1
                     await asyncio.sleep(self.retry.delay(attempt))
 
-    async def _read_loop(self, reader: asyncio.StreamReader) -> None:
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                # Demultiplex on the textual id prefix — every worker
-                # response to this link starts {"id":"x<n>", and the
-                # full parse is deferred until someone needs it.
-                key: Any = None
-                if line.startswith(b'{"id":"x'):
-                    end = line.find(b'"', 8)
-                    if end > 0:
-                        key = line[7:end].decode("ascii")
-                if key is None:
-                    try:
-                        frame = json.loads(line)
-                    except ValueError:
-                        continue
-                    if not isinstance(frame, dict):
-                        continue
-                    key = frame.get("id")
-                future = self._futures.pop(key, None)
-                if future is not None and not future.done():
-                    future.set_result(line)
-        except (ConnectionResetError, BrokenPipeError, OSError,
-                asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            raise
-        finally:
-            self._drop()
+    def _resolve(self, line: bytes) -> None:
+        # Demultiplex on the textual id prefix — every worker response
+        # to this link starts {"id":"x<n>", and the full parse is
+        # deferred until someone needs it.
+        key: Any = None
+        if line.startswith(b'{"id":"x'):
+            end = line.find(b'"', 8)
+            if end > 0:
+                key = line[7:end].decode("ascii")
+        if key is None:
+            try:
+                frame = json.loads(line)
+            except ValueError:
+                return
+            if not isinstance(frame, dict):
+                return
+            key = frame.get("id")
+        future = self._futures.pop(key, None)
+        if future is not None and not future.done():
+            future.set_result(line)
 
     def _drop(self) -> None:
         """Fail every in-flight request and forget the connection."""
-        writer, self._writer, self._reader = self._writer, None, None
-        if writer is not None:
-            try:
-                writer.close()
-            except Exception:
-                pass
+        protocol, self._protocol = self._protocol, None
+        if protocol is not None:
+            protocol.transport.close()
         futures, self._futures = self._futures, {}
         for future in futures.values():
             if not future.done():
@@ -215,8 +245,7 @@ class WorkerLink:
         await self._ensure()
         link_id = f"x{next(self._ids)}"
         link_key = json.dumps(link_id).encode("utf-8")
-        orig_key = json.dumps(message.get("id"),
-                              separators=(",", ":")).encode("utf-8")
+        orig_key = _FRAME_ENCODER.encode(message.get("id")).encode("utf-8")
         payload: Optional[bytes] = None
         if raw is not None:
             prefix = b'{"id":' + orig_key
@@ -238,32 +267,27 @@ class WorkerLink:
         return json.loads(line), None
 
     async def _exchange(self, payload: bytes, link_id: str) -> bytes:
-        assert self._writer is not None
-        future: asyncio.Future = \
-            asyncio.get_running_loop().create_future()
+        protocol = self._protocol
+        if protocol is None:
+            raise WorkerGone(
+                f"lost connection to worker {self.worker_id!r}")
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
         self._futures[link_id] = future
         try:
-            self._writer.write(payload)
-            await self._writer.drain()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            self._drop()
-            raise WorkerGone(
-                f"lost connection to worker {self.worker_id!r}") from None
-        try:
-            return await asyncio.wait_for(future, self.request_timeout)
+            protocol.transport.write(payload)
+            await protocol.writable.wait()
+            timer = loop.call_later(self.request_timeout, _time_out, future)
+            try:
+                return await future
+            finally:
+                timer.cancel()
         finally:
             self._futures.pop(link_id, None)
 
     async def close(self) -> None:
         self._closed = True
-        task, self._read_task = self._read_task, None
         self._drop()
-        if task is not None:
-            task.cancel()
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
 
 
 class Router:

@@ -160,10 +160,9 @@ class LocalFleet:
     async def _kill(server: WorkerServer) -> None:
         if server._server is not None:
             server._server.close()
-            await server._server.wait_closed()
             server._server = None
-        for writer in list(server._connections):
-            writer.close()
+        for connection in list(server._connections):
+            connection.close()
         # Abandon sessions: no close(), no sync() — exactly what a
         # killed process would (not) do.  The dropped file objects may
         # flush on garbage collection, but nothing in the fleet reads

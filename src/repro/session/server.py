@@ -15,12 +15,11 @@ Isolation and flow control:
 * every session has its own :class:`~repro.session.session.Session`
   (own context, library, journal) — no shared mutable state between
   sessions, so cross-session leakage is impossible by construction;
-* an ``asyncio.Lock`` per session serializes its operations while
-  operations on *different* sessions interleave freely;
-* at most ``max_pending`` requests may queue per session — excess
-  requests fail fast with a ``busy`` error frame;
-* each request is bounded by ``request_timeout`` — lock starvation
-  surfaces as a ``timeout`` error frame instead of a hung client;
+* each connection is an :class:`asyncio.Protocol` that answers every
+  complete line, in order, inside ``data_received``; every handler is
+  synchronous, so requests on one session apply in arrival order;
+* a connection whose write buffer passes its high-water mark stops
+  answering and reading until it drains;
 * request frames are bounded by ``max_frame_bytes`` — an oversized frame
   answers with a ``bad-request`` frame and is discarded up to its
   newline, leaving the connection usable;
@@ -34,9 +33,9 @@ Retry safety: a request may carry a client-generated ``rid`` string.
 The response to each ``rid`` is remembered (per session, bounded LRU)
 and replayed verbatim when the same ``rid`` arrives again, so a client
 that lost a response to a network fault can retry the mutation and have
-it apply **exactly once**.  The check-and-record happens inside the
-session lock with no intervening ``await``, so a duplicate can never
-race the original.
+it apply **exactly once**.  The check, the mutation and the record
+happen with no yield in between, so a duplicate can never race the
+original.
 
 Disk-fault surfacing: a session whose journal degraded (persistent disk
 error) answers mutations with ``degraded`` frames; other I/O errors
@@ -69,7 +68,6 @@ from .session import Session, SessionError
 __all__ = ["SessionServer"]
 
 _MAX_LINE = 1 << 20
-_READ_CHUNK = 1 << 16
 _RID_CACHE_SIZE = 256  # remembered responses per session, for retries
 
 
@@ -89,12 +87,86 @@ class _RequestError(Exception):
         return error
 
 
+class _Connection(asyncio.Protocol):
+    """One client connection: cut complete lines, answer each in order.
+
+    Framing is kept by hand so an oversized line is survivable: it
+    answers ``bad-request`` once and is discarded up to its newline.
+    Between ``pause_writing`` and ``resume_writing`` cut lines wait in
+    the buffer and reading pauses.
+    """
+
+    def __init__(self, server: "SessionServer") -> None:
+        self.server = server
+        self.transport: Any = None
+        self.buffer = bytearray()
+        self.discarding = False
+        self.paused = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        server = self.server
+        if server._draining or len(server._connections) >= \
+                server.max_connections:
+            transport.write(_encode_frame({
+                "id": None, "ok": False,
+                "error": {"type": "overloaded",
+                          "message": "server at its connection limit "
+                                     f"({server.max_connections})"}}))
+            transport.close()
+            return
+        self.transport = transport
+        server._connections.add(transport)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        server = self.server
+        server._connections.discard(self.transport)
+        idle = server._idle
+        if not server._connections and idle is not None and not idle.done():
+            idle.set_result(None)  # the last connection of a stop() went
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        self._answer()
+
+    def pause_writing(self) -> None:
+        self.paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.transport.resume_reading()
+        self._answer()
+
+    def _answer(self) -> None:
+        buffer = self.buffer
+        limit = self.server.max_frame_bytes
+        transport = self.transport
+        write = transport.write
+        # Requests still buffered on a lost connection are not applied.
+        while not self.paused and not transport.is_closing():
+            newline = buffer.find(b"\n")
+            if newline < 0:
+                if len(buffer) > limit:
+                    if not self.discarding:
+                        self.discarding = True
+                        write(_encode_frame(_too_long_frame(limit)))
+                    del buffer[:]  # drop the prefix, keep seeking newline
+                return
+            line = bytes(buffer[:newline])
+            del buffer[:newline + 1]
+            if self.discarding:
+                self.discarding = False  # tail of the oversized frame
+            elif len(line) > limit:
+                write(_encode_frame(_too_long_frame(limit)))
+            else:
+                write(_encode_frame(self.server._handle_line(line)))
+
+
 class SessionServer:
     """Serve a session root to concurrent JSON-line clients."""
 
     def __init__(self, root: str, *, host: str = "127.0.0.1", port: int = 0,
-                 fsync: str = "always", request_timeout: float = 30.0,
-                 max_pending: int = 64, max_sessions: int = 64,
+                 fsync: str = "always", max_sessions: int = 64,
                  max_frame_bytes: int = _MAX_LINE,
                  max_connections: int = 64,
                  drain_timeout: float = 5.0,
@@ -111,26 +183,23 @@ class SessionServer:
         #: Extra identity fields merged into every ``health`` frame —
         #: a fleet worker stamps its worker id and role here.
         self.info: Dict[str, Any] = {}
-        self.request_timeout = request_timeout
-        self.max_pending = max_pending
         self.max_frame_bytes = max_frame_bytes
         self.max_connections = max_connections
         self.drain_timeout = drain_timeout
-        self._locks: Dict[str, asyncio.Lock] = {}
-        self._pending: Dict[str, int] = {}
         self._rid_cache: Dict[str, "OrderedDict[str, Any]"] = {}
-        self._connections: Set[asyncio.StreamWriter] = set()
+        self._connections: Set[asyncio.Transport] = set()
         self._in_flight = 0
         self._draining = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopped: Optional[asyncio.Event] = None
+        self._idle: Optional[asyncio.Future] = None
 
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
         self._stopped = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._client_connected, self.host, self.port, limit=_MAX_LINE)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def run(self) -> None:
@@ -142,20 +211,21 @@ class SessionServer:
         await self.stop()
 
     async def stop(self) -> None:
+        """Stop accepting and close every connection (a closing
+        transport flushes its replies first); wait at most
+        ``drain_timeout`` for them to go, then close the sessions."""
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
             self._server = None
-        # Drain: let in-flight requests finish (and their responses be
-        # written) before forcing connections closed and syncing journals.
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.drain_timeout
-        while self._in_flight and loop.time() < deadline:
-            await asyncio.sleep(0.01)
-        await asyncio.sleep(0.05)  # grace for final response writes
-        for writer in list(self._connections):
-            writer.close()
+        for transport in list(self._connections):
+            transport.close()
+        if self._connections:
+            self._idle = asyncio.get_running_loop().create_future()
+            await asyncio.wait([self._idle], timeout=self.drain_timeout)
+            self._idle = None
+            for transport in list(self._connections):
+                transport.abort()  # a client that stopped reading
         self.manager.close_all()
         self._draining = False
 
@@ -163,79 +233,11 @@ class SessionServer:
         if self._stopped is not None:
             self._stopped.set()
 
-    # -- connection handling ------------------------------------------------
+    # -- request handling ---------------------------------------------------
 
-    async def _client_connected(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        try:
-            if self._draining or len(self._connections) >= \
-                    self.max_connections:
-                writer.write(_encode_frame({
-                    "id": None, "ok": False,
-                    "error": {"type": "overloaded",
-                              "message": "server at its connection limit "
-                                         f"({self.max_connections})"}}))
-                await writer.drain()
-                return
-            self._connections.add(writer)
-            await self._serve_connection(reader, writer)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            pass  # server shutdown while this connection was idle
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        """Frame requests by hand so an oversized line is survivable.
-
-        ``StreamReader.readline`` cannot stay newline-aligned after a
-        ``LimitOverrunError``, so the loop keeps its own buffer: an
-        oversized frame answers ``bad-request`` once, its remaining bytes
-        are discarded up to the newline, and the connection lives on.
-        """
-        buffer = bytearray()
-        discarding = False
-        limit = self.max_frame_bytes
-        while True:
-            newline = buffer.find(b"\n")
-            if newline < 0:
-                if len(buffer) > limit:
-                    if not discarding:
-                        discarding = True
-                        writer.write(_encode_frame(_too_long_frame(limit)))
-                        await writer.drain()
-                    del buffer[:]  # drop the prefix, keep seeking newline
-                chunk = await reader.read(_READ_CHUNK)
-                if not chunk:
-                    return
-                buffer += chunk
-                continue
-            line = bytes(buffer[:newline])
-            del buffer[:newline + 1]
-            if discarding:
-                discarding = False  # tail of the oversized frame
-                continue
-            if len(line) > limit:
-                writer.write(_encode_frame(_too_long_frame(limit)))
-                await writer.drain()
-                continue
-            self._in_flight += 1
-            try:
-                response = await self._handle_line(line)
-            finally:
-                self._in_flight -= 1
-            writer.write(_encode_frame(response))
-            await writer.drain()
-
-    async def _handle_line(self, line: bytes) -> Dict[str, Any]:
+    def _handle_line(self, line: bytes) -> Dict[str, Any]:
         request_id: Any = None
+        self._in_flight += 1
         try:
             try:
                 message = json.loads(line)
@@ -245,7 +247,7 @@ class SessionServer:
                 raise _RequestError("bad-request",
                                     "request must be a JSON object")
             request_id = message.get("id")
-            result = await self._dispatch(message)
+            result = self._dispatch(message)
             return {"id": request_id, "ok": True, "result": result}
         except _RequestError as error:
             return {"id": request_id, "ok": False, "error": error.frame()}
@@ -262,8 +264,10 @@ class SessionServer:
         except OSError as error:
             return {"id": request_id, "ok": False,
                     "error": {"type": "io-error", "message": str(error)}}
+        finally:
+            self._in_flight -= 1
 
-    async def _dispatch(self, message: Dict[str, Any]) -> Any:
+    def _dispatch(self, message: Dict[str, Any]) -> Any:
         cmd = message.get("cmd")
         handler = self.COMMANDS.get(cmd)
         if handler is None:
@@ -274,78 +278,51 @@ class SessionServer:
         if not isinstance(name, str) or not name:
             raise _RequestError("bad-request",
                                 f"cmd {cmd!r} requires a session name")
-        pending = self._pending.get(name, 0)
-        if pending >= self.max_pending:
-            raise _RequestError(
-                "busy", f"session {name!r} has {pending} pending requests")
-        self._pending[name] = pending + 1
-        lock = self._locks.setdefault(name, asyncio.Lock())
         rid = message.get("rid")
         if rid is not None and not isinstance(rid, str):
             raise _RequestError("bad-request", "rid must be a string")
-
-        async def locked() -> Any:
-            # Everything under the lock is synchronous (no awaits), so a
-            # timeout can only cancel the request while it waits for the
-            # lock — never between applying a mutation and remembering
-            # its response.  That makes rid-replay exactly-once.
-            async with lock:
-                cache = self._rid_cache.setdefault(name, OrderedDict())
-                if rid is not None and rid in cache:
-                    cache.move_to_end(rid)
-                    hit = cache[rid]
-                    if isinstance(hit, _RequestError):
-                        raise hit
-                    return hit
-                session: Optional[Session] = None
-                if rid is not None and cmd in _JOURNALED_COMMANDS:
-                    session = self.manager.get(name)
-                    entry = session.rid_entry(rid)
-                    if entry is not None:
-                        # The mutation already reached the journal —
-                        # possibly in a previous process life (the rid
-                        # cache above dies with the process, the journal
-                        # does not).  Rebuild a response from current
-                        # state instead of applying twice.
-                        result = _RECONSTRUCT[cmd](self, message, session,
-                                                   entry)
-                        result["replayed"] = True
-                        _remember(cache, rid, result)
-                        return result
-                    # Stamp the rid into whatever this command journals,
-                    # so the dedup above survives a worker kill.
-                    session.pending_rid = rid
-                before_seq = self._session_seq(name)
-                try:
-                    result = handler(self, message)
-                except _RequestError as error:
-                    # Deterministic rejections (violation, bad address…)
-                    # replay as-is; load shedding is never remembered.
-                    if rid is not None and error.kind not in ("busy",
-                                                              "timeout"):
-                        _remember(cache, rid, error)
-                    raise
-                finally:
-                    if session is not None:
-                        session.pending_rid = None
-                result = self._post_command(name, message, result,
-                                            before_seq)
-                if rid is not None:
-                    _remember(cache, rid, result)
+        # Handlers are synchronous: nothing runs between the rid check,
+        # the mutation and the record, so a duplicate never races the
+        # original and one session's requests apply in arrival order.
+        cache = self._rid_cache.setdefault(name, OrderedDict())
+        if rid is not None and rid in cache:
+            cache.move_to_end(rid)
+            hit = cache[rid]
+            if isinstance(hit, _RequestError):
+                raise hit
+            return hit
+        session: Optional[Session] = None
+        if rid is not None and cmd in _JOURNALED_COMMANDS:
+            session = self.manager.get(name)
+            entry = session.rid_entry(rid)
+            if entry is not None:
+                # The mutation already reached the journal — possibly in
+                # a previous process life (the rid cache above dies with
+                # the process, the journal does not).  Rebuild a response
+                # from current state instead of applying twice.
+                result = _RECONSTRUCT[cmd](self, message, session, entry)
+                result["replayed"] = True
+                _remember(cache, rid, result)
                 return result
-
+            # Stamp the rid into whatever this command journals, so the
+            # dedup above survives a worker kill.
+            session.pending_rid = rid
+        before_seq = self._session_seq(name)
         try:
-            return await asyncio.wait_for(locked(), self.request_timeout)
-        except asyncio.TimeoutError:
-            raise _RequestError(
-                "timeout",
-                f"request exceeded {self.request_timeout}s") from None
+            result = handler(self, message)
+        except _RequestError as error:
+            # Deterministic rejections (violation, bad address…) replay
+            # as-is.
+            if rid is not None:
+                _remember(cache, rid, error)
+            raise
         finally:
-            remaining = self._pending.get(name, 1) - 1
-            if remaining:
-                self._pending[name] = remaining
-            else:
-                self._pending.pop(name, None)
+            if session is not None:
+                session.pending_rid = None
+        result = self._post_command(name, message, result, before_seq)
+        if rid is not None:
+            _remember(cache, rid, result)
+        return result
 
     # -- helpers ------------------------------------------------------------
 
@@ -360,7 +337,7 @@ class SessionServer:
     def _post_command(self, name: str, message: Dict[str, Any],
                       result: Dict[str, Any],
                       before_seq: Optional[int]) -> Dict[str, Any]:
-        """Hook called under the session lock after a handler succeeds.
+        """Hook called right after a handler succeeds, before its reply.
 
         ``before_seq`` is the session's journal position before the
         handler ran (``None`` if the session was not open yet).  The
@@ -641,8 +618,13 @@ class SessionServer:
         return {"connected": True}
 
 
+# ``json.dumps`` with non-default separators builds a new encoder per
+# call; this one is built once and writes the same bytes.
+_FRAME_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def _encode_frame(frame: Dict[str, Any]) -> bytes:
-    return (json.dumps(frame, separators=(",", ":")) + "\n").encode("utf-8")
+    return (_FRAME_ENCODER.encode(frame) + "\n").encode("utf-8")
 
 
 def _too_long_frame(limit: int) -> Dict[str, Any]:
@@ -651,10 +633,8 @@ def _too_long_frame(limit: int) -> Dict[str, Any]:
                       "message": f"request frame exceeds {limit} bytes"}}
 
 
-def _remember(cache: "OrderedDict[str, Any]", rid: Optional[str],
+def _remember(cache: "OrderedDict[str, Any]", rid: str,
               outcome: Any) -> None:
-    if rid is None:
-        return
     cache[rid] = outcome
     if len(cache) > _RID_CACHE_SIZE:
         cache.popitem(last=False)

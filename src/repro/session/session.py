@@ -280,7 +280,7 @@ class Session:
         self._space_depth = 0
         self._last_seq = 0
         #: Request id to stamp into the next journaled entry (set by the
-        #: server under the session lock, consumed by the next append).
+        #: server before its handler runs, consumed by the next append).
         self.pending_rid: Optional[str] = None
         self._applied_rids: "OrderedDict[str, Dict[str, Any]]" = \
             OrderedDict()

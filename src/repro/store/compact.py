@@ -4,8 +4,9 @@ A long-lived session accumulates journal segments faster than its
 designer checkpoints.  Compaction replays a **closed** session up to a
 segment boundary (via ``Session(replay_to=...)``, the time-travel
 hook), publishes that state as a checkpoint at the boundary sequence,
-and prunes the segments the new checkpoint covers — so recovery cost
-stays proportional to the hot tail, not to session lifetime.
+and prunes as every checkpoint does (``prune_to_checkpoints``) — so
+recovery cost stays proportional to the hot tail, not to session
+lifetime, and can still fall back to any checkpoint it keeps.
 
 The publish goes through the same
 :meth:`~repro.store.base.SessionStore.publish_checkpoint` gate as a
@@ -32,8 +33,7 @@ from .base import (
     check_keep_checkpoints,
     encode_checkpoint,
     load_latest_checkpoint,
-    prune_checkpoints,
-    prune_segments,
+    prune_to_checkpoints,
 )
 
 __all__ = ["CompactionWorker", "compact_session"]
@@ -46,9 +46,9 @@ def compact_session(store: SessionStore, *, name: str = "session",
 
     ``keep_segments`` newest segments stay as the replayable hot tail
     (at least one — the tail segment is never folded).  Older segments
-    are covered by a freshly published checkpoint at the boundary and
-    deleted; ``keep_checkpoints`` newest checkpoints survive the
-    follow-up prune.
+    are covered by a checkpoint published at the boundary; the prune
+    keeps the ``keep_checkpoints`` newest checkpoints and the journal
+    after the oldest of them.
     """
     if keep_segments < 1:
         raise ValueError("keep_segments must be >= 1")
@@ -87,8 +87,8 @@ def compact_session(store: SessionStore, *, name: str = "session",
     report["performed"] = True
     report["checkpoint_seq"] = boundary
 
-    report["pruned_segments"] = prune_segments(store, boundary)
-    prune_checkpoints(store, keep_checkpoints)
+    report["pruned_segments"] = prune_to_checkpoints(store,
+                                                     keep_checkpoints)
     return report
 
 

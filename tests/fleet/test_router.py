@@ -5,8 +5,11 @@ real Router on loopback sockets, driven through the unmodified
 :class:`SessionClient`.
 """
 
+import asyncio
+
 import pytest
 
+from repro.fleet.router import WorkerLink
 from repro.fleet.runner import LocalFleet
 from repro.session.client import ServerError
 
@@ -205,3 +208,38 @@ class TestFailover:
                 assert client.session(name).value("v:x") == len(name)
             for name in moved:
                 assert fleet.worker_of(name) != victim
+
+
+class TestWorkerLink:
+    def test_cancel_in_the_pass_that_resolves_the_reply_propagates(self):
+        """``Router.stop()`` cancels its replication loop while that loop
+        waits on a worker; the cancellation must win even when the reply
+        lands in the same loop pass, or ``stop()`` waits forever."""
+
+        async def scenario():
+            accepted = []
+
+            async def silent(reader, writer):
+                accepted.append(writer)
+                await reader.read()  # never answers
+
+            server = await asyncio.start_server(silent, "127.0.0.1", 0)
+            link = WorkerLink("w0", "127.0.0.1",
+                              server.sockets[0].getsockname()[1])
+            try:
+                await link._ensure()
+                task = asyncio.ensure_future(link._exchange(
+                    b'{"id":"x1","cmd":"ping"}\n', "x1"))
+                await asyncio.sleep(0)  # parks on the reply
+                link._futures["x1"].set_result(
+                    b'{"id":"x1","ok":true,"result":{}}\n')
+                task.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await task
+            finally:
+                await link.close()
+                for writer in accepted:
+                    writer.close()
+                server.close()
+
+        asyncio.run(scenario())

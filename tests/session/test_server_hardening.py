@@ -19,6 +19,7 @@ import pytest
 
 from repro.faults import FaultPlan, StreamFaultProxy
 from repro.session.client import ServerError, SessionClient
+from repro.session.server import SessionServer, _Connection
 
 
 def start_server(*extra):
@@ -81,6 +82,140 @@ class TestFrameLimit:
             file.flush()
             response = json.loads(file.readline())
             assert response["id"] == 1 and response["ok"] is True
+        finally:
+            sock.close()
+
+
+def read_frames(file, count):
+    return [json.loads(file.readline()) for _ in range(count)]
+
+
+class TestFraming:
+    def test_frames_in_one_write_answer_in_order(self, server):
+        sock, file = raw_connection(server)
+        try:
+            sock.sendall(
+                b'{"id": 1, "cmd": "make-var", "session": "burst", '
+                b'"name": "x", "value": 1}\n'
+                b'{"id": 2, "cmd": "assign", "session": "burst", '
+                b'"var": "v:x", "value": 2}\n'
+                b'{"id": 3, "cmd": "get", "session": "burst", '
+                b'"var": "v:x"}\n')
+            replies = read_frames(file, 3)
+            assert [reply["id"] for reply in replies] == [1, 2, 3]
+            assert all(reply["ok"] for reply in replies)
+            assert replies[2]["result"]["value"] == 2
+        finally:
+            sock.close()
+
+    def test_frame_sent_a_byte_at_a_time_gets_one_reply(self, server):
+        sock, file = raw_connection(server)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for byte in b'{"id": 5, "cmd": "ping"}\n':
+                sock.sendall(bytes([byte]))
+            sock.sendall(b'{"id": 6, "cmd": "ping"}\n')
+            assert [reply["id"] for reply in read_frames(file, 2)] == [5, 6]
+        finally:
+            sock.close()
+
+    def test_oversized_and_valid_frame_in_one_write(self, server):
+        sock, file = raw_connection(server)
+        try:
+            sock.sendall(b"z" * 5000 + b"\n" + b'{"id": 4, "cmd": "ping"}\n')
+            oversized, valid = read_frames(file, 2)
+            assert oversized["id"] is None
+            assert oversized["error"]["type"] == "bad-request"
+            assert valid["id"] == 4 and valid["ok"] is True
+        finally:
+            sock.close()
+
+
+class _StubTransport:
+    """Records what a connection writes and whether it reads; while
+    ``full``, every write fills the buffer past its high-water mark."""
+
+    def __init__(self, connection):
+        self.connection = connection
+        self.written = []
+        self.reading = True
+        self.full = False
+
+    def write(self, data):
+        self.written.append(json.loads(data)["id"])
+        if self.full:
+            self.connection.pause_writing()
+
+    def is_closing(self):
+        return False
+
+    def pause_reading(self):
+        self.reading = False
+
+    def resume_reading(self):
+        self.reading = True
+
+
+def stub_connection(tmp_path):
+    connection = _Connection(SessionServer(str(tmp_path)))
+    transport = _StubTransport(connection)
+    connection.connection_made(transport)
+    return connection, transport
+
+
+PINGS = b"".join(b'{"id": %d, "cmd": "ping"}\n' % index
+                 for index in (1, 2, 3))
+
+
+class TestFlowControl:
+    def test_paused_connection_answers_only_after_resume(self, tmp_path):
+        connection, transport = stub_connection(tmp_path)
+        connection.pause_writing()
+        assert transport.reading is False
+        connection.data_received(PINGS)
+        assert transport.written == []
+        connection.resume_writing()
+        assert transport.reading is True
+        assert transport.written == [1, 2, 3]
+
+    def test_pause_during_a_burst_holds_the_rest(self, tmp_path):
+        """A reply that fills the write buffer stops the burst, so the
+        buffer never grows past one reply over its high-water mark."""
+        connection, transport = stub_connection(tmp_path)
+        transport.full = True
+        connection.data_received(PINGS)
+        assert transport.written == [1]
+        assert transport.reading is False
+        transport.full = False
+        connection.resume_writing()
+        assert transport.written == [1, 2, 3]
+
+
+class TestRidValidation:
+    def test_non_string_rid_does_not_wedge_the_session(self, server):
+        """A rejected rid must leave no trace: the 65th request on the
+        session is served like the first."""
+        sock, file = raw_connection(server)
+
+        def call(frame):
+            sock.sendall(json.dumps(frame).encode() + b"\n")
+            return json.loads(file.readline())
+
+        try:
+            assert call({"id": 1, "cmd": "make-var", "session": "wedge",
+                         "name": "x"})["ok"] is True
+            for index in range(64):
+                reply = call({"id": 2 + index, "cmd": "assign",
+                              "session": "wedge", "var": "v:x",
+                              "value": index, "rid": 7})
+                assert reply["error"]["type"] == "bad-request"
+            reply = call({"id": 100, "cmd": "assign", "session": "wedge",
+                          "var": "v:x", "value": 5})
+            assert reply["ok"] is True, reply
+            reply = call({"id": 101, "cmd": "get", "session": "wedge",
+                          "var": "v:x"})
+            assert reply["ok"] is True, reply
+            assert reply["result"]["value"] == 5
         finally:
             sock.close()
 

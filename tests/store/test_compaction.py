@@ -151,6 +151,35 @@ class TestCompactSession:
             root.close()
 
 
+class TestCompactionKeepsCheckpointJournals:
+    def test_an_older_kept_checkpoint_still_replays(self, tmp_path):
+        """Compaction keeps ``keep_checkpoints`` checkpoints, so it must
+        keep the journal after the oldest of them: with the newest one
+        damaged, recovery falls back and replays to the live state."""
+        root = FileStore(str(tmp_path))
+        try:
+            store = root.session("session")
+            session = Session("session", store=store,
+                              segment_max_bytes=200)
+            session.make_variable("x")
+            for value in range(5):
+                session.assign("v:x", value)
+            session.checkpoint()
+            for value in range(40):
+                session.assign("v:x", 100 + value)
+            live = session.fingerprint(include_stats=False)
+            session.close()
+
+            report = compact_session(store)
+            assert report["performed"]
+            assert [seq for seq, _key in store.checkpoints()] == [7, 46]
+            open(os.path.join(str(tmp_path), "session",
+                              "ckpt-0000000046.json"), "w").close()
+            assert fingerprint("file", tmp_path) == live
+        finally:
+            root.close()
+
+
 class TestCompactionCrashWindows:
     """A kill during the compaction publish must lose nothing — the
     same windows the checkpoint fault matrix covers, entered via
