@@ -10,9 +10,10 @@ same seed and the same call sequence therefore produce exactly the same
 injected faults, which is what makes crash-matrix tests reproducible and
 CI chaos runs debuggable.
 
-The plan only *decides*; the injection sites (:mod:`repro.faults.files`
-for the journal/checkpoint opener, :mod:`repro.faults.netproxy` for the
-server stream proxy) interpret the returned :class:`Action`:
+The plan only *decides*; the injection sites (every storage backend's
+:class:`~repro.store.base.StoreGate` for journal and checkpoint I/O,
+:mod:`repro.faults.netproxy` for the server stream proxy) interpret the
+returned :class:`Action`:
 
 ``error``
     raise ``OSError(errno, ...)`` at the fault point (``ENOSPC``,
@@ -21,8 +22,8 @@ server stream proxy) interpret the returned :class:`Action`:
     write only the first ``keep`` bytes of the payload, then follow with
     ``then`` (``"crash"`` or ``"error"``) — a torn write.
 ``crash``
-    simulate instant process death via :class:`CrashPoint`; the opener
-    stays dead (every later I/O call raises) until a fresh opener is
+    simulate instant process death via :class:`CrashPoint`; the gate
+    stays dead (every later I/O call raises) until a fresh store is
     built, exactly as a killed process never touches the file again.
 ``drop`` / ``delay`` / ``truncate`` / ``reset``
     stream-proxy actions: swallow a frame, stall it, forward a prefix,
@@ -155,7 +156,7 @@ class FaultPlan:
         """Cut the write stream at a cumulative byte offset.
 
         The write that crosses ``at_byte`` persists only its prefix up
-        to that offset, then the opener crashes (``then="crash"``) or
+        to that offset, then the gate crashes (``then="crash"``) or
         the write raises ``EIO`` (``then="error"``).
         """
         return self.on("write", Action("torn", then=then), pattern=pattern,

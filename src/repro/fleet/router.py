@@ -365,10 +365,13 @@ class Router:
             self._repl_task = None
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        # Close the clients first: since CPython 3.12.1 wait_closed()
+        # waits for every connection the server accepted.
         for writer in list(self._connections):
             writer.close()
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
         for link in self._links.values():
             await link.close()
 

@@ -21,12 +21,9 @@ and concurrency spine for that framing:
 
 from .codec import EncodingError, UnknownAddress
 from .journal import (
-    DEFAULT_OPENER,
-    FileOpener,
     JournalCorrupt,
     JournalDegraded,
     JournalTailGap,
-    JournalTailReader,
     JournalWriter,
     read_entries,
 )
@@ -41,13 +38,10 @@ from .session import (
 
 __all__ = [
     "CONSTRAINT_TYPES",
-    "DEFAULT_OPENER",
     "EncodingError",
-    "FileOpener",
     "JournalCorrupt",
     "JournalDegraded",
     "JournalTailGap",
-    "JournalTailReader",
     "JournalWriter",
     "RetryPolicy",
     "Session",

@@ -63,12 +63,9 @@ except ImportError:  # pragma: no cover - depends on the environment
     _orjson = None
 
 __all__ = [
-    "DEFAULT_OPENER",
-    "FileOpener",
     "JournalCorrupt",
     "JournalDegraded",
     "JournalTailGap",
-    "JournalTailReader",
     "JournalWriter",
     "read_entries",
     "scan_segments",
@@ -90,12 +87,12 @@ class JournalCorrupt(ValueError):
 
 
 class JournalTailGap(RuntimeError):
-    """A tail reader fell behind the oldest surviving segment.
+    """A follower fell behind the oldest surviving segment.
 
-    Raised by :meth:`JournalTailReader.poll` when the entry it needs next
-    was pruned (covered by a checkpoint).  The reader cannot continue
-    from raw journal lines alone — the follower must resynchronise from a
-    checkpoint snapshot first.
+    Raised by :func:`repro.store.base.store_tail_lines` when the entry
+    the follower needs next was pruned (covered by a checkpoint).  It
+    cannot continue from raw journal lines alone — the follower must
+    resynchronise from a checkpoint snapshot first.
     """
 
 
@@ -108,39 +105,6 @@ class JournalDegraded(RuntimeError):
     append was rolled back best-effort, so recovery never surfaces an
     unacknowledged entry as committed).
     """
-
-
-class FileOpener:
-    """Seam for every file-system touch of the journal/checkpoint writers.
-
-    The default instance simply forwards to the ``os`` layer.  Fault
-    injection (:class:`repro.faults.FaultOpener`) subclasses this to
-    interpose torn writes, fsync failures, ``ENOSPC`` and crash windows
-    without the production paths knowing — they pay one attribute
-    indirection, nothing more, when no fault layer is installed.
-    """
-
-    def __call__(self, path: str, mode: str = "r", **kwargs: Any) -> Any:
-        return open(path, mode, **kwargs)
-
-    def fsync(self, handle: Any) -> None:
-        os.fsync(handle.fileno())
-
-    def fsync_dir(self, directory: str) -> None:
-        _fsync_directory(directory)
-
-    def replace(self, src: str, dst: str) -> None:
-        os.replace(src, dst)
-
-    def remove(self, path: str) -> None:
-        os.remove(path)
-
-    def getsize(self, path: str) -> int:
-        return os.path.getsize(path)
-
-
-#: Shared pass-through opener used when no fault layer is installed.
-DEFAULT_OPENER = FileOpener()
 
 
 def _segment_name(first_seq: int) -> str:
@@ -167,18 +131,6 @@ def scan_segments(directory: str) -> List[Tuple[int, str]]:
             found.append((first, os.path.join(directory, name)))
     found.sort()
     return found
-
-
-def _fsync_directory(directory: str) -> None:
-    """Persist directory entries (new/renamed files) where supported."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return  # e.g. Windows: directories are not fsync-able
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 # A single reusable encoder: ``json.dumps`` with non-default options
@@ -321,8 +273,8 @@ class JournalWriter:
         :class:`repro.store.FileSessionStore` over that directory.
     store:
         A :class:`repro.store.SessionStore` performing every durable
-        touch; when given, ``directory``/``opener`` are ignored and the
-        journal lives wherever the backend puts it.
+        touch; when given, ``directory`` is ignored and the journal
+        lives wherever the backend puts it.
     next_seq:
         Sequence number the next append will carry; recovery passes the
         value it reached while replaying.
@@ -334,10 +286,6 @@ class JournalWriter:
     observer:
         Optional :class:`repro.obs.observer.Observer` fed per-append
         byte counts and latencies.
-    opener:
-        :class:`FileOpener` performing every file-system touch; the
-        fault-injection seam.  Defaults to the pass-through
-        :data:`DEFAULT_OPENER`.
     tail_lines:
         How many recently-appended lines to keep in memory for
         :meth:`recent_lines` (the replication fast path).
@@ -354,7 +302,6 @@ class JournalWriter:
                  fsync: str = "always",
                  segment_max_bytes: int = DEFAULT_SEGMENT_BYTES,
                  observer: Any = None,
-                 opener: Optional[FileOpener] = None,
                  tail_lines: int = 512) -> None:
         if fsync not in _FSYNC_POLICIES:
             raise ValueError(f"fsync policy must be one of {_FSYNC_POLICIES}, "
@@ -363,11 +310,8 @@ class JournalWriter:
             if directory is None:
                 raise ValueError("JournalWriter needs a directory or a store")
             from ..store.filestore import FileSessionStore
-            store = FileSessionStore(directory, opener=opener)
+            store = FileSessionStore(directory)
         self._store = store
-        self.directory = (directory if directory is not None
-                          else store.fs_directory)
-        self._where = self.directory or store.location
         self.fsync = fsync
         self.segment_max_bytes = segment_max_bytes
         self.observer = observer
@@ -558,8 +502,8 @@ class JournalWriter:
         raise JournalDegraded(self._degraded_message()) from error
 
     def _degraded_message(self) -> str:
-        return (f"journal {self._where!r} is degraded (read-only) "
-                f"after a disk error: {self._degraded}")
+        return (f"journal {self._store.location!r} is degraded "
+                f"(read-only) after a disk error: {self._degraded}")
 
     def recent_lines(self, after_seq: int) -> Optional[List[bytes]]:
         """Raw journal lines with ``seq > after_seq``, from memory.
@@ -663,113 +607,3 @@ def read_entries(directory: str, *, after_seq: Optional[int] = None,
     from ..store.filestore import FileSessionStore
     return read_store_entries(FileSessionStore(directory),
                               after_seq=after_seq, repair=repair)
-
-
-class JournalTailReader:
-    """Incrementally follow a live journal directory — the follower path.
-
-    Unlike :func:`read_entries` (one complete pass with tail repair),
-    this reader is built for polling a journal *while it is being
-    written*: it remembers its byte offset between calls, follows
-    segment rotation, and treats an incomplete or checksum-failing line
-    at the very end of the last segment as *not yet fully flushed* —
-    :meth:`poll` simply stops before it and picks it up next time.  The
-    journal file is never modified.
-
-    Raw framed lines are returned alongside each decoded entry so a
-    replica can append byte-identical lines to its own copy.
-
-    Raises
-    ------
-    :class:`JournalCorrupt`
-        for damage that cannot be a write in progress — a bad line with
-        data after it, or a sequence gap inside the journal.
-    :class:`JournalTailGap`
-        when the next needed entry was pruned away (the reader must
-        resynchronise from a checkpoint).
-    """
-
-    def __init__(self, directory: str, *, after_seq: int = 0) -> None:
-        self.directory = directory
-        self._next_seq = after_seq + 1
-        self._path: Optional[str] = None
-        self._offset = 0
-
-    @property
-    def position(self) -> int:
-        """Sequence number of the last entry returned."""
-        return self._next_seq - 1
-
-    def poll(self, *, limit: Optional[int] = None,
-             max_bytes: Optional[int] = None) -> List[Tuple[int, bytes]]:
-        """New complete entries since the last call, as (seq, raw line).
-
-        Returns an empty list when nothing new is durably visible yet.
-        ``limit`` / ``max_bytes`` bound one batch (the reader resumes
-        exactly where it stopped).
-        """
-        out: List[Tuple[int, bytes]] = []
-        out_bytes = 0
-        while True:
-            before = (self._path, self._offset, self._next_seq)
-            segments = scan_segments(self.directory)
-            if not segments:
-                return out
-            index = None
-            for i, (first, _path) in enumerate(segments):
-                if first <= self._next_seq:
-                    index = i
-                else:
-                    break
-            if index is None:
-                raise JournalTailGap(
-                    f"journal {self.directory!r} now starts at seq "
-                    f"{segments[0][0]} but the reader needs "
-                    f"{self._next_seq}; resync from a checkpoint")
-            path = segments[index][1]
-            is_last = index == len(segments) - 1
-            if path != self._path:
-                self._path = path
-                self._offset = 0
-            try:
-                with open(path, "rb") as handle:
-                    handle.seek(self._offset)
-                    data = handle.read()
-            except FileNotFoundError:
-                self._path = None  # pruned between scan and open
-                continue
-            pos = 0
-            while True:
-                newline = data.find(b"\n", pos)
-                if newline < 0:
-                    break  # incomplete tail line: wait for more bytes
-                line = data[pos:newline + 1]
-                pos = newline + 1
-                entry = _decode_line(line)
-                if entry is None or not isinstance(entry.get("seq"), int):
-                    if is_last and pos >= len(data):
-                        # Checksum failure on the very last visible
-                        # line: a buffered writer may have flushed it in
-                        # pieces — re-read it whole on the next poll.
-                        return out
-                    raise JournalCorrupt(
-                        f"corrupt entry at byte {self._offset} of {path}")
-                seq = entry["seq"]
-                self._offset += len(line)
-                if seq < self._next_seq:
-                    continue  # overlap at the start of a segment
-                if seq != self._next_seq:
-                    raise JournalCorrupt(
-                        f"sequence gap in {path}: expected "
-                        f"{self._next_seq}, found {seq}")
-                self._next_seq = seq + 1
-                out.append((seq, line))
-                out_bytes += len(line)
-                if limit is not None and len(out) >= limit:
-                    return out
-                if max_bytes is not None and out_bytes >= max_bytes:
-                    return out
-            # Loop again only while making progress (a rotation may have
-            # exposed a newer segment); a quiet journal returns.
-            if (self._path, self._offset, self._next_seq) == before:
-                return out

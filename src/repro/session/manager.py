@@ -15,7 +15,6 @@ import threading
 from typing import Any, Dict, List, Optional
 
 from .codec import check_name
-from .journal import FileOpener
 from .session import Session, SessionError
 
 __all__ = ["SessionManager"]
@@ -24,9 +23,7 @@ __all__ = ["SessionManager"]
 class SessionManager:
     """Open, recover, enumerate and close sessions under ``root``.
 
-    ``opener`` (a :class:`~repro.session.journal.FileOpener`) routes all
-    journal/checkpoint I/O of every managed session — the fault-injection
-    seam.  ``round_budget`` (a :class:`~repro.core.engine.RoundBudget`)
+    ``round_budget`` (a :class:`~repro.core.engine.RoundBudget`)
     installs the propagation watchdog on each session's context as it is
     opened.  ``store`` selects the durable backend: ``None``/``"file"``,
     ``"sqlite[:path]"``, ``"object[:path]"`` (the ``--store`` grammar —
@@ -36,17 +33,15 @@ class SessionManager:
 
     def __init__(self, root: str, *, fsync: str = "always",
                  max_sessions: int = 64,
-                 opener: Optional[FileOpener] = None,
                  round_budget: Optional[Any] = None,
                  store: Optional[Any] = None) -> None:
         from ..store import SegmentStore, resolve_store
         self.root = root
         self.fsync = fsync
         self.max_sessions = max_sessions
-        self.opener = opener
         self.round_budget = round_budget
         if store is None or isinstance(store, str):
-            store = resolve_store(store, root, opener=opener)
+            store = resolve_store(store, root)
         elif not isinstance(store, SegmentStore):
             raise TypeError(f"store must be a spec string or SegmentStore, "
                             f"not {type(store).__name__}")
@@ -77,8 +72,7 @@ class SessionManager:
             if len(self.sessions) >= self.max_sessions:
                 raise SessionError(
                     f"session limit reached ({self.max_sessions})")
-            session = Session(name, store=session_store, fsync=self.fsync,
-                              opener=self.opener)
+            session = Session(name, store=session_store, fsync=self.fsync)
             if self.round_budget is not None:
                 session.context.round_budget = self.round_budget
             self.sessions[name] = session

@@ -170,12 +170,10 @@ class SessionServer:
                  max_frame_bytes: int = _MAX_LINE,
                  max_connections: int = 64,
                  drain_timeout: float = 5.0,
-                 opener: Any = None,
                  round_budget: Any = None,
                  store: Any = None) -> None:
         self.manager = SessionManager(root, fsync=fsync,
                                       max_sessions=max_sessions,
-                                      opener=opener,
                                       round_budget=round_budget,
                                       store=store)
         self.host = host

@@ -69,9 +69,7 @@ from .codec import (
     resolve_address,
 )
 from .journal import (
-    DEFAULT_OPENER,
     DEFAULT_SEGMENT_BYTES,
-    FileOpener,
     JournalWriter,
     _safe_str,
 )
@@ -221,16 +219,12 @@ class Session:
     read_only:
         Recover state but open no writer and record no new mutations —
         the verification-replay mode.
-    opener:
-        :class:`~repro.session.journal.FileOpener` used for every
-        journal/checkpoint write — the fault-injection seam.  Defaults
-        to the pass-through :data:`~repro.session.journal.DEFAULT_OPENER`.
     store:
         A :class:`repro.store.SessionStore` performing every durable
         touch — journal segments and checkpoints both.  ``None`` with a
         ``directory`` uses the file backend over that directory
         (the pre-interface behavior, byte-identical on disk); when
-        given, ``directory`` and ``opener`` are ignored.
+        given, ``directory`` is ignored.
     replay_to:
         Stop recovery replay after this sequence number — the
         time-travel hook compaction uses to snapshot the state as of a
@@ -253,14 +247,11 @@ class Session:
                  segment_max_bytes: int = DEFAULT_SEGMENT_BYTES,
                  keep_checkpoints: int = 2,
                  read_only: bool = False,
-                 opener: Optional[FileOpener] = None,
                  store: Optional[Any] = None,
                  replay_to: Optional[int] = None) -> None:
         check_name(name, "session name")
         self.name = name
-        self.directory = directory
         self.read_only = read_only
-        self._opener = opener if opener is not None else DEFAULT_OPENER
         # Lazy imports: repro.store.base imports this module's sibling
         # journal, so a top-level import here would cycle.
         from ..store import base as _storebase
@@ -294,9 +285,7 @@ class Session:
 
         if store is None and directory is not None:
             from ..store.filestore import FileSessionStore
-            store = FileSessionStore(directory, opener=self._opener)
-        elif store is not None and directory is None:
-            self.directory = store.fs_directory
+            store = FileSessionStore(directory)
         self._store = store
 
         state = None
@@ -329,11 +318,9 @@ class Session:
                               perf_counter() - t0)
             if not read_only:
                 self._journal = JournalWriter(
-                    self.directory, store=store,
-                    next_seq=self._last_seq + 1, fsync=fsync,
+                    store=store, next_seq=self._last_seq + 1, fsync=fsync,
                     segment_max_bytes=segment_max_bytes,
-                    observer=_JournalObserverProxy(self),
-                    opener=self._opener)
+                    observer=_JournalObserverProxy(self))
                 if last_op == "checkpoint":
                     # That checkpoint sealed the tail segment; appending
                     # to it would keep the interval before it unprunable.
@@ -399,10 +386,7 @@ class Session:
         self.close()
 
     def __repr__(self) -> str:
-        where = self.directory
-        if where is None and self._store is not None:
-            where = self._store.location
-        where = where or "memory"
+        where = self._store.location if self._store is not None else "memory"
         return (f"<Session {self.name!r} @ {where} seq={self._last_seq} "
                 f"vars={len(self.vars)} constraints={len(self.constraints)}>")
 

@@ -29,7 +29,7 @@ grammar onto a backend instance.
 from __future__ import annotations
 
 import os
-from typing import Any, Optional
+from typing import Optional
 
 from .base import (
     SegmentAppender,
@@ -71,8 +71,7 @@ __all__ = [
 STORE_BACKENDS = ("file", "sqlite", "object")
 
 
-def resolve_store(spec: Optional[str], root: str,
-                  opener: Any = None) -> SegmentStore:
+def resolve_store(spec: Optional[str], root: str) -> SegmentStore:
     """Build the backend a ``--store`` spec names, rooted at ``root``.
 
     ``spec`` is ``None``/``"file"``, ``"sqlite"``, ``"object"``, or any
@@ -81,10 +80,10 @@ def resolve_store(spec: Optional[str], root: str,
     path with no recognized backend prefix is a file root.
     """
     if spec is None or spec == "file":
-        return FileStore(root, opener=opener)
+        return FileStore(root)
     name, _, location = spec.partition(":")
     if name == "file":
-        return FileStore(location or root, opener=opener)
+        return FileStore(location or root)
     if name == "sqlite":
         return SqliteStore(location or os.path.join(root, "sessions.db"))
     if name == "object":

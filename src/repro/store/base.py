@@ -15,20 +15,23 @@ layout (:mod:`repro.store.filestore`, byte-identical on disk), a sqlite
 database (:mod:`repro.store.sqlitestore`) and an S3-style object store
 (:mod:`repro.store.objectstore`).  The journal's recovery semantics are
 therefore properties of *this interface*, not of one backend, and the
-PR 5 fault matrix runs against all three.
+byte-exhaustive fault matrix runs against all three.
 
 Fault injection
 ---------------
-The file backend keeps its :class:`~repro.session.journal.FileOpener`
-seam.  The other backends have no file handles to wrap, so they consult
-the same :class:`~repro.faults.plan.FaultPlan` through a
-:class:`StoreGate` at equivalent *virtual* fault points: every journal
-append gates ``("write", "<root>/<session>/wal-XXXXXXXXXX.jsonl")``,
-every checkpoint publish gates the ``*.tmp`` write plus the
-``replace``/``replace-done`` windows on the final checkpoint name.
-Byte counters, globs and crash semantics (:class:`CrashPoint` tears
-through ``except OSError``; a crashed gate stays dead) match the file
-opener exactly, so one fault recipe drives all backends.
+Every backend consults one :class:`~repro.faults.plan.FaultPlan`
+through a :class:`StoreGate` at the same logical points: segment
+``open``, every journal ``write`` with its byte count, ``flush``,
+``fsync`` and ``fsync-dir``, the checkpoint ``*.tmp`` write, the
+``replace``/``replace-done`` windows on the final checkpoint name, and
+``remove`` of segments and checkpoints.  The file backend gates its
+real paths; the others gate *virtual* ones shaped like the file layout
+(``<dir>/<session>/wal-XXXXXXXXXX.jsonl``), so the same rule globs
+match.  Byte counters, globs and crash semantics (:class:`CrashPoint`
+tears through ``except OSError``; a crashed gate stays dead) are the
+gate's, so one fault recipe drives all backends.  The only difference
+in the call sequence: the file backend also syncs its directory entry
+(``fsync-dir``) after each checkpoint rename.
 
 Keys
 ----
@@ -100,17 +103,17 @@ def checkpoint_seq(key: str) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# Fault gate for non-file backends
+# Fault gate
 # ---------------------------------------------------------------------------
 
 class StoreGate:
-    """Interpret a :class:`~repro.faults.plan.FaultPlan` at virtual paths.
+    """Interpret a :class:`~repro.faults.plan.FaultPlan` at fault points.
 
-    The non-file backends call :meth:`point` / :meth:`write_action` at
-    the same logical moments the file backend's
-    :class:`~repro.faults.FaultOpener` intercepts real file I/O, with
-    virtual targets shaped like the file layout so the same rule globs
-    match.  ``crash`` actions mark the gate dead —
+    Every backend calls :meth:`point` / :meth:`write_action` before the
+    durable touch it names — at real paths on the file backend, at
+    virtual targets shaped like the file layout on the others, so the
+    same rule globs match.  With no plan a consult only checks that the
+    gate is alive.  ``crash`` actions mark the gate dead —
     :class:`~repro.faults.plan.CrashPoint` is raised from every later
     call, exactly like a killed process never touching storage again.
     """
@@ -143,8 +146,7 @@ class StoreGate:
 
     def point_after(self, op: str, target: str) -> None:
         """A crash-only window *after* an operation landed
-        (``replace-done``): non-crash actions are ignored, matching the
-        file opener."""
+        (``replace-done``): non-crash actions are ignored."""
         if self.crashed or self.plan is None:
             return
         action = self.plan.decide(op, target)
@@ -215,9 +217,6 @@ class SessionStore:
     backend: str = "abstract"
     #: Human-readable location of this session's data.
     location: str = ""
-    #: Real directory of the session when the backend is file-shaped
-    #: (``None`` for database/object backends).
-    fs_directory: Optional[str] = None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -379,13 +378,16 @@ def store_tail_lines(store: SessionStore, *, after_seq: int = 0,
                      ) -> List[Tuple[int, bytes]]:
     """Raw framed lines with ``seq > after_seq``, as ``(seq, line)``.
 
-    The store-generic equivalent of one fresh
-    :class:`~repro.session.journal.JournalTailReader` poll — used by
-    replication export and scrub re-shipping.  An incomplete or
+    The journal reader of a follower — replication export and scrub
+    re-shipping poll a live journal with it, passing the last seq they
+    hold.  The lines are the exact journal bytes.  An incomplete or
     checksum-failing line at the very end of the last segment is
-    treated as not yet flushed (the batch simply stops before it);
-    raises :class:`~repro.session.journal.JournalTailGap` when the
-    requested range was pruned away.
+    treated as not yet flushed (the batch simply stops before it, and
+    the next poll picks it up); damage with data after it, or a
+    sequence gap, raises :class:`~repro.session.journal.JournalCorrupt`;
+    :class:`~repro.session.journal.JournalTailGap` when the requested
+    range was pruned away.  ``limit`` / ``max_bytes`` bound one batch
+    (at least one line is returned).
     """
     next_seq = after_seq + 1
     out: List[Tuple[int, bytes]] = []

@@ -18,17 +18,15 @@ journal always still holds every entry past whichever survived.
 
 Compaction must only run against sessions with **no live writer** — an
 open :class:`~repro.session.session.Session` owns the tail segment and
-prunes on its own checkpoints.  :class:`CompactionWorker` enforces that
-with a ``skip`` predicate (the server passes "is this session open?").
+prunes on its own checkpoints.  ``repro store-compact`` runs it on one
+session of a root that no server is serving.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict
 
 from .base import (
-    SegmentStore,
     SessionStore,
     check_keep_checkpoints,
     encode_checkpoint,
@@ -36,7 +34,7 @@ from .base import (
     prune_to_checkpoints,
 )
 
-__all__ = ["CompactionWorker", "compact_session"]
+__all__ = ["compact_session"]
 
 
 def compact_session(store: SessionStore, *, name: str = "session",
@@ -90,73 +88,3 @@ def compact_session(store: SessionStore, *, name: str = "session",
     report["pruned_segments"] = prune_to_checkpoints(store,
                                                      keep_checkpoints)
     return report
-
-
-class CompactionWorker:
-    """Background thread compacting every closed session in a root.
-
-    ``skip`` is consulted with each session name before compaction;
-    return ``True`` for sessions that currently have a live writer.
-    """
-
-    def __init__(self, store: SegmentStore, *, interval: float = 60.0,
-                 keep_segments: int = 1, keep_checkpoints: int = 2,
-                 skip: Optional[Callable[[str], bool]] = None) -> None:
-        self.store = store
-        self.interval = interval
-        self.keep_segments = keep_segments
-        self.keep_checkpoints = keep_checkpoints
-        self.skip = skip
-        self.runs = 0
-        self.compacted = 0
-        self.errors = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def run_once(self) -> List[Dict[str, Any]]:
-        """One sweep over every session; returns the per-session reports."""
-        reports: List[Dict[str, Any]] = []
-        for name in self.store.session_names():
-            if self.skip is not None and self.skip(name):
-                continue
-            try:
-                report = compact_session(
-                    self.store.session(name), name=name,
-                    keep_segments=self.keep_segments,
-                    keep_checkpoints=self.keep_checkpoints)
-            except Exception as error:  # noqa: BLE001 - keep sweeping
-                self.errors += 1
-                reports.append({"session": name, "performed": False,
-                                "error": str(error)})
-                continue
-            if report.get("performed"):
-                self.compacted += 1
-            reports.append(report)
-        self.runs += 1
-        return reports
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.run_once()
-
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(target=self._loop,
-                                        name="repro-compaction",
-                                        daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "CompactionWorker":
-        self.start()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()

@@ -3,11 +3,11 @@
 Byte-identical on disk to what the pre-interface journal and checkpoint
 writers produced: segments are ``wal-<firstseq:010d>.jsonl`` files,
 checkpoints ``ckpt-<seq:010d>.json``, one directory per session.  Every
-file-system touch still goes through the session's
-:class:`~repro.session.journal.FileOpener`, in the same order the
-writers performed it before the refactor, so the existing
-fault-injection plans (and the PR 5 fault matrix) exercise unchanged
-code paths.
+file-system touch consults the store's
+:class:`~repro.store.base.StoreGate` at its real path, in the order the
+writers performed it before the refactor, so one
+:class:`~repro.faults.plan.FaultPlan` drives this backend exactly as it
+drives the sqlite and object ones.
 """
 
 from __future__ import annotations
@@ -15,15 +15,13 @@ from __future__ import annotations
 import os
 from typing import Any, List, Optional, Tuple
 
-from ..session.journal import (
-    DEFAULT_OPENER,
-    FileOpener,
-    scan_segments,
-)
+from ..faults.plan import FaultPlan
+from ..session.journal import scan_segments
 from .base import (
     SegmentAppender,
     SegmentStore,
     SessionStore,
+    StoreGate,
     checkpoint_name,
     checkpoint_seq,
     segment_name,
@@ -32,26 +30,93 @@ from .base import (
 __all__ = ["FileSessionStore", "FileStore"]
 
 
+# ---------------------------------------------------------------------------
+# Gated file operations
+# ---------------------------------------------------------------------------
+
+def _open(gate: StoreGate, path: str, mode: str) -> Any:
+    gate.point("open", path)
+    return open(path, mode)
+
+
+def _write(gate: StoreGate, handle: Any, path: str, data: bytes) -> None:
+    """Buffer ``data`` in ``handle``, or land the fault the gate decides.
+
+    A torn write keeps its prefix and a crash keeps what is already
+    buffered: either reaches the OS before the gate raises, as the bytes
+    of a killed process would.
+    """
+    action = gate.write_action(path, len(data))
+    if action is None:
+        handle.write(data)
+        return
+    if action.kind == "torn":
+        handle.write(data[:action.keep])
+        handle.flush()
+    elif action.kind == "crash":
+        handle.flush()
+    gate.finish_write(path, action, len(data))
+
+
+def _flush(gate: StoreGate, handle: Any, path: str) -> None:
+    gate.point("flush", path)
+    handle.flush()
+
+
+def _fsync(gate: StoreGate, handle: Any, path: str) -> None:
+    gate.point("fsync", path)
+    os.fsync(handle.fileno())
+
+
+def _fsync_dir(gate: StoreGate, directory: str) -> None:
+    """Persist directory entries (new/renamed files) where supported."""
+    gate.point("fsync-dir", directory)
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return  # e.g. Windows: directories are not fsync-able
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _remove(gate: StoreGate, path: str) -> None:
+    gate.point("remove", path)
+    os.remove(path)
+
+
 class _FileAppender(SegmentAppender):
-    """A real file handle opened through the session's opener."""
+    """An open segment file.
 
-    __slots__ = ("key", "_handle", "_opener")
+    Only journal appends go through it: the traced benchmark server
+    (``perfbench/traced_serve.py``) counts journal bytes and fsyncs at
+    its ``write`` and ``sync``, so the checkpoint file and a new
+    segment's first fsync call the gated helpers directly.
+    """
 
-    def __init__(self, key: str, handle: Any, opener: FileOpener) -> None:
+    __slots__ = ("key", "_handle", "_path", "_gate")
+
+    def __init__(self, key: str, handle: Any, path: str,
+                 gate: StoreGate) -> None:
         self.key = key
         self._handle = handle
-        self._opener = opener
+        self._path = path
+        self._gate = gate
 
     def write(self, line: bytes) -> None:
-        self._handle.write(line)
+        _write(self._gate, self._handle, self._path, line)
 
     def flush(self) -> None:
-        self._handle.flush()
+        _flush(self._gate, self._handle, self._path)
 
     def sync(self) -> None:
-        self._opener.fsync(self._handle)
+        _fsync(self._gate, self._handle, self._path)
 
     def close(self) -> None:
+        # Closing never faults: the degradation paths close handles
+        # while cleaning up after an injected error, and a second
+        # failure there would mask the first.
         self._handle.close()
 
 
@@ -60,12 +125,12 @@ class FileSessionStore(SessionStore):
 
     backend = "file"
 
-    def __init__(self, directory: str,
-                 opener: Optional[FileOpener] = None) -> None:
+    def __init__(self, directory: str) -> None:
         self.directory = directory
         self.location = directory
-        self.fs_directory = directory
-        self._opener = opener if opener is not None else DEFAULT_OPENER
+        #: The fault gate; a :class:`FileStore` shares its own with
+        #: every session it hands out.
+        self.gate = StoreGate()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -85,14 +150,15 @@ class FileSessionStore(SessionStore):
                 for first, path in scan_segments(self.directory)]
 
     def segment_size(self, key: str) -> int:
-        return self._opener.getsize(self._path(key))
+        self.gate.check_alive()
+        return os.path.getsize(self._path(key))
 
     def read_segment(self, key: str) -> bytes:
         with open(self._path(key), "rb") as handle:
             return handle.read()
 
     def delete_segment(self, key: str) -> None:
-        self._opener.remove(self._path(key))
+        _remove(self.gate, self._path(key))
 
     def truncate_segment(self, key: str, size: int) -> None:
         with open(self._path(key), "r+b") as handle:
@@ -103,27 +169,30 @@ class FileSessionStore(SessionStore):
     def create_segment(self, first_seq: int, *,
                        durable: bool = True) -> _FileAppender:
         key = segment_name(first_seq)
-        handle = self._opener(self._path(key), "ab")
+        path = self._path(key)
+        gate = self.gate
+        handle = _open(gate, path, "ab")
         if durable:
-            self._opener.fsync(handle)
-            self._opener.fsync_dir(self.directory)
-        return _FileAppender(key, handle, self._opener)
+            try:
+                _fsync(gate, handle, path)
+                _fsync_dir(gate, self.directory)
+            except BaseException:
+                handle.close()
+                raise
+        return _FileAppender(key, handle, path, gate)
 
     def open_segment(self, key: str) -> _FileAppender:
-        return _FileAppender(key, self._opener(self._path(key), "ab"),
-                             self._opener)
+        path = self._path(key)
+        return _FileAppender(key, _open(self.gate, path, "ab"), path,
+                             self.gate)
 
     def rollback_segment(self, key: str, size: int) -> None:
-        # Deliberately bypasses the opener: this is the best-effort
-        # degradation backstop running after the fault layer's disk
-        # already "failed" (matching the pre-interface behavior).
-        with open(self._path(key), "r+b") as repair:
-            repair.truncate(size)
-            repair.flush()
-            os.fsync(repair.fileno())
+        # Deliberately ungated: this is the best-effort degradation
+        # backstop running after the gate's disk already "failed".
+        self.truncate_segment(key, size)
 
     def sync_root(self) -> None:
-        self._opener.fsync_dir(self.directory)
+        _fsync_dir(self.gate, self.directory)
 
     def describe(self, key: str) -> str:
         return self._path(key)
@@ -153,24 +222,26 @@ class FileSessionStore(SessionStore):
     def publish_checkpoint(self, seq: int, data: bytes) -> str:
         path = self._path(checkpoint_name(seq))
         temp = path + ".tmp"
-        opener = self._opener
+        gate = self.gate
         try:
-            with opener(temp, "w") as handle:
-                handle.write(data.decode("utf-8"))
-                handle.flush()
-                opener.fsync(handle)
-            opener.replace(temp, path)
+            with _open(gate, temp, "wb") as handle:
+                _write(gate, handle, temp, data)
+                _flush(gate, handle, temp)
+                _fsync(gate, handle, temp)
+            gate.point("replace", path)
+            os.replace(temp, path)
+            gate.point_after("replace-done", path)
         except OSError:
             try:
                 os.remove(temp)
             except OSError:
                 pass
             raise
-        opener.fsync_dir(self.directory)
+        _fsync_dir(gate, self.directory)
         return path
 
     def delete_checkpoint(self, key: str) -> None:
-        self._opener.remove(self._path(key))
+        _remove(self.gate, self._path(key))
 
 
 class FileStore(SegmentStore):
@@ -178,15 +249,16 @@ class FileStore(SegmentStore):
 
     backend = "file"
 
-    def __init__(self, root: str,
-                 opener: Optional[FileOpener] = None) -> None:
+    def __init__(self, root: str, *,
+                 plan: Optional[FaultPlan] = None) -> None:
         self.root = root
         self.location = root
-        self._opener = opener if opener is not None else DEFAULT_OPENER
+        self.gate = StoreGate(plan)
 
     def session(self, name: str) -> FileSessionStore:
-        return FileSessionStore(os.path.join(self.root, name),
-                                opener=self._opener)
+        store = FileSessionStore(os.path.join(self.root, name))
+        store.gate = self.gate
+        return store
 
     def session_names(self) -> List[str]:
         try:

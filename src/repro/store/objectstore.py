@@ -193,7 +193,6 @@ class ObjectSessionStore(SessionStore):
     """One session's prefix of the bucket."""
 
     backend = "object"
-    fs_directory = None
 
     def __init__(self, root: "ObjectStore", name: str) -> None:
         self._root = root

@@ -14,9 +14,9 @@ policies only relax *when* buffered lines commit, never the atomicity
 of what did.
 
 Fault injection flows through a :class:`~repro.store.base.StoreGate`
-consulted at the same virtual paths the file backend's opener would
-touch (``<dbdir>/<session>/wal-XXXXXXXXXX.jsonl``, ``....json.tmp``),
-so one :class:`~repro.faults.plan.FaultPlan` drives both backends.
+consulted at virtual paths shaped like the files the file backend gates
+(``<dbdir>/<session>/wal-XXXXXXXXXX.jsonl``, ``....json.tmp``), so one
+:class:`~repro.faults.plan.FaultPlan` drives every backend.
 Every ``sqlite3.Error`` surfaces as ``OSError`` — the session layer's
 degradation paths are backend-agnostic.
 """
@@ -189,7 +189,6 @@ class SqliteSessionStore(SessionStore):
     """One session's view of the root database."""
 
     backend = "sqlite"
-    fs_directory = None
 
     def __init__(self, root: SqliteStore, name: str) -> None:
         self._root = root

@@ -1,11 +1,8 @@
-"""FaultPlan semantics: determinism, counters, firing rules, file wrapper."""
+"""FaultPlan semantics: determinism, counters, firing rules."""
 
 import errno
-import os
 
-import pytest
-
-from repro.faults import CrashPoint, FaultOpener, FaultPlan
+from repro.faults import FaultPlan
 
 
 class TestTriggers:
@@ -72,57 +69,3 @@ class TestTriggers:
         assert plan.fired("fsync") == 1
         assert plan.summary() == {"fsync:error": 1, "s2c:drop": 1}
         assert plan.history[0] == ("fsync", "/j/wal-1.jsonl", "error")
-
-
-class TestFaultOpener:
-    def test_uninstalled_plan_is_passthrough(self, tmp_path):
-        opener = FaultOpener()  # empty plan: every decide returns None
-        path = str(tmp_path / "f.txt")
-        with opener(path, "w") as handle:
-            handle.write("hello")
-            opener.fsync(handle)
-        assert open(path).read() == "hello"
-        assert opener.getsize(path) == 5
-
-    def test_torn_write_keeps_prefix_then_crashes(self, tmp_path):
-        plan = FaultPlan()
-        plan.torn_write(at_byte=3)
-        opener = FaultOpener(plan)
-        path = str(tmp_path / "f.bin")
-        handle = opener(path, "wb")
-        with pytest.raises(CrashPoint):
-            handle.write(b"abcdef")
-        assert opener.crashed
-        # The surviving prefix reached the OS before the "kill".
-        assert open(path, "rb").read() == b"abc"
-        # A dead opener never touches disk again.
-        with pytest.raises(CrashPoint):
-            opener(path, "ab")
-        with pytest.raises(CrashPoint):
-            opener.fsync_dir(str(tmp_path))
-
-    def test_error_actions_raise_oserror_with_errno(self, tmp_path):
-        plan = FaultPlan()
-        plan.enospc("write")
-        opener = FaultOpener(plan)
-        handle = opener(str(tmp_path / "f"), "wb")
-        with pytest.raises(OSError) as info:
-            handle.write(b"x")
-        assert info.value.errno == errno.ENOSPC
-        handle.close()
-
-    def test_replace_crash_windows(self, tmp_path):
-        src, dst = str(tmp_path / "a"), str(tmp_path / "b")
-
-        open(src, "w").write("1")
-        plan = FaultPlan()
-        plan.crash_on("replace")
-        with pytest.raises(CrashPoint):
-            FaultOpener(plan).replace(src, dst)
-        assert os.path.exists(src) and not os.path.exists(dst)
-
-        plan = FaultPlan()
-        plan.crash_on("replace-done")
-        with pytest.raises(CrashPoint):
-            FaultOpener(plan).replace(src, dst)
-        assert not os.path.exists(src) and os.path.exists(dst)

@@ -6,6 +6,7 @@ real Router on loopback sockets, driven through the unmodified
 """
 
 import asyncio
+import threading
 
 import pytest
 
@@ -208,6 +209,24 @@ class TestFailover:
                 assert client.session(name).value("v:x") == len(name)
             for name in moved:
                 assert fleet.worker_of(name) != victim
+
+
+class TestStop:
+    def test_stop_returns_while_a_client_is_connected(self, tmp_path):
+        """Since CPython 3.12.1 ``Server.wait_closed()`` waits for every
+        connection; the router closes its clients first, so stopping
+        does not wait on a client that stays connected."""
+        local = LocalFleet(str(tmp_path), workers=2).start()
+        client = local.client()
+        try:
+            client.session("held").make_var("x", 1)
+            stopper = threading.Thread(target=local.stop, daemon=True)
+            stopper.start()
+            stopper.join(timeout=10.0)
+            assert not stopper.is_alive(), \
+                "LocalFleet.stop() hung with a client connected"
+        finally:
+            client.close()
 
 
 class TestWorkerLink:

@@ -4,10 +4,10 @@ The byte-exhaustive crash scenarios of ``test_fault_matrix.py`` —
 simulated ``kill -9`` at every byte of an append or checkpoint write,
 ENOSPC, fsync failure, crashes around the atomic publish — expressed
 once, parameterized by storage backend.  ``test_fault_matrix.py`` runs
-them against the ``file`` backend (through the real
-:class:`~repro.faults.FaultOpener`); ``tests/store/test_backend_matrix``
-runs the same scenarios against ``sqlite`` and ``object`` (through each
-backend's :class:`~repro.store.base.StoreGate`).
+them against the ``file`` backend; ``tests/store/test_backend_matrix``
+runs the same scenarios against ``sqlite`` and ``object``.  Every
+backend is built with the plan, and its
+:class:`~repro.store.base.StoreGate` injects the faults.
 
 The invariant everywhere: recovery lands fingerprint-identical to the
 last *committed* (acknowledged) state, never a hybrid — whichever
@@ -19,23 +19,23 @@ import shutil
 
 import pytest
 
-from repro.faults import CrashPoint, FaultOpener, FaultPlan
+from repro.faults import CrashPoint, FaultPlan
 from repro.session import JournalDegraded, Session
 
 SESSION_NAME = "matrix"
 
 
 class Opened:
-    """A live session plus the fault controller that gates its I/O."""
+    """A live session plus the gate that injects its faults."""
 
-    def __init__(self, session, controller, root_store=None):
+    def __init__(self, session, gate, root_store=None):
         self.session = session
-        self.controller = controller
+        self.gate = gate
         self._root_store = root_store
 
     @property
     def crashed(self):
-        return bool(self.controller is not None and self.controller.crashed)
+        return self.gate.crashed
 
     def close(self):
         self.session.close()
@@ -78,15 +78,17 @@ class MatrixBackend:
 
 
 class FileBackend(MatrixBackend):
-    """The original layout, driven through the real FaultOpener."""
+    """The original layout: ``root`` is the session directory itself."""
 
     name = "file"
 
     def open_session(self, root, *, plan=None, read_only=False, **kw):
-        opener = FaultOpener(plan) if plan is not None else None
-        session = Session(SESSION_NAME, directory=str(root),
-                          opener=opener, read_only=read_only, **kw)
-        return Opened(session, opener)
+        from repro.store import FileStore
+        parent, name = os.path.split(str(root))
+        store = FileStore(parent, plan=plan)
+        session = Session(SESSION_NAME, store=store.session(name),
+                          read_only=read_only, **kw)
+        return Opened(session, store.gate)
 
     def _store(self, root):
         from repro.store import FileSessionStore

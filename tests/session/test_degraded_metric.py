@@ -8,10 +8,10 @@ error — exactly once per degradation, on every backend.
 
 import pytest
 
-from repro.faults import FaultOpener, FaultPlan
+from repro.faults import FaultPlan
 from repro.obs import Observer
 from repro.session import JournalDegraded, Session
-from repro.store import SqliteStore
+from repro.store import FileStore, SqliteStore
 
 
 def degrade(session, plan):
@@ -26,8 +26,8 @@ def degrade(session, plan):
 class TestDegradedSignal:
     def test_counter_and_instant_mark_fire_once(self, tmp_path):
         plan = FaultPlan()
-        session = Session("metrics", directory=str(tmp_path),
-                          opener=FaultOpener(plan))
+        store = FileStore(str(tmp_path), plan=plan)
+        session = Session("metrics", store=store.session("metrics"))
         with Observer.full(session.context) as obs:
             degrade(session, plan)
             # Further refused mutations do not re-count: the session

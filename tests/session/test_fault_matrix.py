@@ -9,8 +9,9 @@ invariant everywhere: recovery lands fingerprint-identical to the last
 The scenarios live in :mod:`storage_matrix` so the exact same sweeps
 run against the sqlite and object backends too
 (``tests/store/test_backend_matrix.py``); this module drives them
-through the ``file`` backend — the real :class:`~repro.faults.FaultOpener`
-over the original on-disk layout, byte for byte.
+through the ``file`` backend — its
+:class:`~repro.store.base.StoreGate` at the real paths of the original
+on-disk layout, byte for byte.
 """
 
 import pytest

@@ -8,16 +8,17 @@ fields.
 
 import pytest
 
-from repro.faults import FaultOpener, FaultPlan
+from repro.faults import FaultPlan
 from repro.fleet.runner import ServerThread
 from repro.session.client import ServerError, SessionClient
+from repro.store import FileStore
 
 
 @pytest.fixture()
 def faulty_server(tmp_path):
     plan = FaultPlan()
     thread = ServerThread(str(tmp_path), fsync="always",
-                          opener=FaultOpener(plan))
+                          store=FileStore(str(tmp_path), plan=plan))
     with thread:
         yield thread, plan
 

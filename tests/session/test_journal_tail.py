@@ -1,11 +1,11 @@
 """Journal tail streaming: live follow, rotation, torn lines, buffers.
 
-Satellite of the fleet PR: :class:`JournalTailReader` is the
-replication export path (a follower reads a live journal
-incrementally) and :meth:`JournalWriter.recent_lines` is the
-synchronous-replication fast path (ship the just-appended bytes
-without touching the disk).  Both must behave under rotation, torn
-final lines and ``fsync="never"`` buffering.
+:func:`~repro.store.base.store_tail_lines` is the replication export
+path (a follower polls a live journal with the last seq it holds) and
+:meth:`JournalWriter.recent_lines` is the synchronous-replication fast
+path (ship the just-appended bytes without touching the disk).  Both
+must behave under rotation, torn final lines and ``fsync="never"``
+buffering.
 """
 
 import os
@@ -15,10 +15,25 @@ import pytest
 from repro.session.journal import (
     JournalCorrupt,
     JournalTailGap,
-    JournalTailReader,
     JournalWriter,
     encode_entry,
 )
+from repro.store import FileSessionStore, store_tail_lines
+
+
+class Follower:
+    """A follower's position over one journal directory."""
+
+    def __init__(self, directory, after_seq=0):
+        self.store = FileSessionStore(str(directory))
+        self.position = after_seq
+
+    def poll(self, **kwargs):
+        pairs = store_tail_lines(self.store, after_seq=self.position,
+                                 **kwargs)
+        if pairs:
+            self.position = pairs[-1][0]
+        return pairs
 
 
 def append_n(writer, count, start=0):
@@ -34,7 +49,7 @@ def polled(reader, **kwargs):
 class TestLiveFollow:
     def test_incremental_poll_sees_each_append(self, tmp_path):
         writer = JournalWriter(str(tmp_path), fsync="always")
-        reader = JournalTailReader(str(tmp_path))
+        reader = Follower(str(tmp_path))
         assert polled(reader) == []
         append_n(writer, 3)
         assert polled(reader) == [1, 2, 3]
@@ -47,7 +62,7 @@ class TestLiveFollow:
     def test_lines_are_the_exact_journal_bytes(self, tmp_path):
         writer = JournalWriter(str(tmp_path), fsync="always")
         seq = writer.append({"op": "assign", "var": "v:x", "value": 1})
-        pairs = JournalTailReader(str(tmp_path)).poll()
+        pairs = Follower(str(tmp_path)).poll()
         assert pairs == [(seq, encode_entry(
             {"op": "assign", "seq": seq, "var": "v:x", "value": 1}))]
         writer.close()
@@ -55,7 +70,7 @@ class TestLiveFollow:
     def test_follow_across_rotation(self, tmp_path):
         writer = JournalWriter(str(tmp_path), fsync="always",
                                segment_max_bytes=120)
-        reader = JournalTailReader(str(tmp_path))
+        reader = Follower(str(tmp_path))
         total = 12
         seen = []
         for index in range(total):
@@ -71,14 +86,14 @@ class TestLiveFollow:
         writer = JournalWriter(str(tmp_path), fsync="always",
                                segment_max_bytes=120)
         append_n(writer, 10)
-        assert polled(JournalTailReader(str(tmp_path), after_seq=7)) \
+        assert polled(Follower(str(tmp_path), after_seq=7)) \
             == [8, 9, 10]
         writer.close()
 
     def test_limit_and_max_bytes_chunk_the_stream(self, tmp_path):
         writer = JournalWriter(str(tmp_path), fsync="always")
         append_n(writer, 6)
-        reader = JournalTailReader(str(tmp_path))
+        reader = Follower(str(tmp_path))
         assert polled(reader, limit=2) == [1, 2]
         assert polled(reader, limit=2) == [3, 4]
         rest = reader.poll(max_bytes=1)  # at least one line per poll
@@ -97,7 +112,7 @@ class TestTornTails:
                       if name.startswith("wal-")]
         with open(segment, "ab") as handle:
             handle.write(b"deadbeef {\"torn")  # no newline: mid-write
-        reader = JournalTailReader(str(tmp_path))
+        reader = Follower(str(tmp_path))
         assert polled(reader) == [1, 2]  # waits for the rest, no raise
         assert polled(reader) == []
 
@@ -114,7 +129,7 @@ class TestTornTails:
                       if name.startswith("wal-")]
         with open(segment, "ab") as handle:
             handle.write(b"00000000 {\"bad\":1}\n")
-        reader = JournalTailReader(str(tmp_path))
+        reader = Follower(str(tmp_path))
         assert polled(reader) == [1, 2]
 
     def test_corruption_before_the_tail_raises(self, tmp_path):
@@ -128,7 +143,7 @@ class TestTornTails:
         data[1] = b"00000000 " + data[1][9:]  # break line 2's CRC
         open(segment, "wb").write(b"".join(data))
         with pytest.raises(JournalCorrupt):
-            JournalTailReader(str(tmp_path)).poll()
+            Follower(str(tmp_path)).poll()
 
     def test_sequence_gap_inside_journal_raises(self, tmp_path):
         writer = JournalWriter(str(tmp_path), fsync="always")
@@ -141,13 +156,13 @@ class TestTornTails:
             handle.write(encode_entry({"op": "assign", "seq": 5}))
             handle.write(encode_entry({"op": "assign", "seq": 6}))
         with pytest.raises(JournalCorrupt):
-            JournalTailReader(str(tmp_path)).poll()
+            Follower(str(tmp_path)).poll()
 
 
 class TestFsyncNeverBuffering:
     def test_buffered_lines_invisible_until_sync(self, tmp_path):
         writer = JournalWriter(str(tmp_path), fsync="never")
-        reader = JournalTailReader(str(tmp_path))
+        reader = Follower(str(tmp_path))
         append_n(writer, 3)
         assert polled(reader) == []  # still in the writer's buffer
         writer.sync()
@@ -205,7 +220,7 @@ class TestPrunedPast:
         assert len([name for name in os.listdir(tmp_path)
                     if name.startswith("wal-")]) >= 1
         with pytest.raises(JournalTailGap):
-            JournalTailReader(str(tmp_path)).poll()
+            Follower(str(tmp_path)).poll()
 
     def test_reader_at_pruned_boundary_continues(self, tmp_path):
         writer = JournalWriter(str(tmp_path), fsync="always",
@@ -215,7 +230,7 @@ class TestPrunedPast:
         remaining_first = min(
             int(name[4:-6]) for name in os.listdir(tmp_path)
             if name.startswith("wal-"))
-        reader = JournalTailReader(str(tmp_path),
+        reader = Follower(str(tmp_path),
                                    after_seq=remaining_first - 1)
         assert polled(reader)[-1] == 12
         writer.close()

@@ -4,8 +4,8 @@ Exactly the scenarios ``tests/session/test_fault_matrix.py`` runs on
 the file layout — kill at every byte of the final append and of the
 checkpoint write, crashes around the atomic publish, ENOSPC, fsync
 failure, degraded mode — driven through each backend's
-:class:`~repro.store.base.StoreGate` instead of the file
-:class:`~repro.faults.FaultOpener`.  Same fault plans, same byte
+:class:`~repro.store.base.StoreGate` at virtual paths, as the file
+backend's gate does at real ones.  Same fault plans, same byte
 arithmetic, same invariant: recovery is fingerprint-identical to the
 last acknowledged state on every backend.
 """

@@ -2,16 +2,14 @@
 
 Per backend: compaction publishes a boundary checkpoint, prunes every
 covered segment, and leaves the recovered fingerprint untouched; the
-publish window is crash-covered (a kill mid-compaction loses nothing);
-the background worker sweeps a whole root, skipping live sessions.
+publish window is crash-covered (a kill mid-compaction loses nothing).
 """
 
 import os
-import time
 
 import pytest
 
-from repro.faults import CrashPoint, FaultOpener, FaultPlan
+from repro.faults import CrashPoint, FaultPlan
 from repro.session import Session
 from repro.store import (
     FileStore,
@@ -21,7 +19,7 @@ from repro.store import (
     load_latest_checkpoint,
     resolve_store,
 )
-from repro.store.compact import CompactionWorker, compact_session
+from repro.store.compact import compact_session
 
 PARAMS = [pytest.param(kind, id=kind) for kind in STORE_BACKENDS]
 
@@ -54,7 +52,7 @@ def faulty_root(kind, root, plan):
     """The backend over ``root``'s bytes with ``plan`` gating its I/O,
     at the same default location ``resolve_store`` would pick."""
     if kind == "file":
-        return FileStore(str(root), opener=FaultOpener(plan))
+        return FileStore(str(root), plan=plan)
     if kind == "sqlite":
         return SqliteStore(os.path.join(str(root), "sessions.db"),
                            plan=plan)
@@ -223,58 +221,3 @@ class TestCompactionCrashWindows:
             faulty.close()
 
         assert fingerprint(kind, tmp_path) == before
-
-
-class TestCompactionWorker:
-    def test_sweeps_every_closed_session_and_skips_live_ones(self,
-                                                             tmp_path):
-        root = resolve_store("sqlite", str(tmp_path))
-        try:
-            grow(root, name="cold-a")
-            grow(root, name="cold-b")
-            grow(root, name="hot")
-            worker = CompactionWorker(root, keep_segments=1,
-                                      skip=lambda name: name == "hot")
-            reports = worker.run_once()
-            assert worker.runs == 1
-            assert worker.compacted == 2
-            compacted = {r["session"] for r in reports if r["performed"]}
-            assert compacted == {"cold-a", "cold-b"}
-            assert len(root.session("hot").segments()) > 1
-        finally:
-            root.close()
-
-    def test_errors_are_counted_not_fatal(self, tmp_path):
-        root = resolve_store("file", str(tmp_path))
-        try:
-            grow(root, name="good")
-            bad = root.session("bad")
-            bad.prepare()
-            for first in (1, 5):  # discontinuous garbage segments
-                appender = bad.create_segment(first)
-                appender.write(b"garbage that is not a journal line\n")
-                appender.flush()
-                appender.close()
-            worker = CompactionWorker(root, keep_segments=1)
-            reports = worker.run_once()
-            assert worker.compacted == 1
-            by_name = {r["session"]: r for r in reports}
-            assert by_name["good"]["performed"]
-            assert not by_name["bad"]["performed"]
-        finally:
-            root.close()
-
-    def test_background_thread_compacts_on_its_interval(self, tmp_path):
-        root = resolve_store("file", str(tmp_path))
-        try:
-            grow(root)
-            with CompactionWorker(root, interval=0.05,
-                                  keep_segments=1) as worker:
-                deadline = time.monotonic() + 5.0
-                while worker.compacted == 0:
-                    assert time.monotonic() < deadline, \
-                        "worker never compacted"
-                    time.sleep(0.02)
-            assert len(root.session("session").segments()) == 1
-        finally:
-            root.close()

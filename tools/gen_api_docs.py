@@ -46,8 +46,7 @@ EXTRA_MODULES = {
     "repro.store": ["repro.store.base", "repro.store.filestore",
                     "repro.store.sqlitestore", "repro.store.objectstore",
                     "repro.store.compact", "repro.store.scrub"],
-    "repro.faults": ["repro.faults.plan", "repro.faults.files",
-                     "repro.faults.netproxy"],
+    "repro.faults": ["repro.faults.plan", "repro.faults.netproxy"],
     "repro.fleet": ["repro.fleet.hashring", "repro.fleet.replica",
                     "repro.fleet.worker", "repro.fleet.router",
                     "repro.fleet.runner"],
