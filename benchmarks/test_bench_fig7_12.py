@@ -89,19 +89,32 @@ def test_bench_incremental_leaf_update(benchmark):
 
 
 def test_bench_full_rebuild_ablation(benchmark):
-    """Non-incremental strategy: rebuild both networks per change."""
+    """Non-incremental strategy: rebuild both networks per change.
+
+    The leaf write bypasses propagation, so the rebuild starts from the
+    leaf: each instance dual of G1's class delay is re-derived before
+    the networks are rebuilt.  Every call's result is checked against
+    the value it stored, not only the last call's.
+    """
     g1, g2, b, a, x = build_fig_7_12()
     values = itertools.cycle([3.0, 3.5])
+    wrong = []
 
     def rebuild():
+        value = next(values)
         with default_context().propagation_disabled():
-            g1.delay_var("a", "y")._store(next(values), None)
+            leaf = g1.delay_var("a", "y")
+            leaf._store(value, None)
+            for dual in leaf.dual_variables():
+                dual._store(dual.adjust_class_value(value), None)
             a.delay_var("x", "y").reset()
             x.delay_var("in1", "out1").reset()
         a.build_delay_network()
         x.build_delay_network()
-        return x.delay_value("in1", "out1")
+        result = x.delay_value("in1", "out1")
+        if result != pytest.approx(2 + 2 * (value + 4.0)):
+            wrong.append((value, result))
+        return result
 
-    result = benchmark(rebuild)
-    assert result == pytest.approx(2 + 2 * (g1.delay_var("a", "y").value
-                                            + 4.0))
+    benchmark(rebuild)
+    assert wrong == []

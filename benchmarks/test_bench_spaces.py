@@ -1,4 +1,5 @@
-"""Computation spaces: clone cost, commit cost, parallel search.
+"""Computation spaces: clone cost, commit cost, and the ranked search
+they are measured against.
 
 The spaces subsystem's performance claims:
 
@@ -6,21 +7,17 @@ The spaces subsystem's performance claims:
   hook swap plus two epoch bumps — microseconds, independent of design
   size, which is what makes per-probe spaces affordable;
 * **commit** of a K-assign space costs one batched round on the parent
-  (the space replay) on top of the speculative rounds already paid;
-* **parallel search** over N candidate realizations with fork workers
-  beats the sequential in-place generate-and-test ≥2x at 8 workers
-  (CI-gated; skipped on boxes with fewer than 4 CPUs where the
-  parallelism it measures does not exist).
+  (the space replay) on top of the speculative rounds already paid.
+
+``test_sequential_search_baseline`` times chapter 8's in-place
+generate-and-test with ranking (``RankedSelector``, ``repro select
+--rank``) over a 16-candidate tree.
 
 The ``benchmark`` fixtures feed medians into ``BENCH_PROP.json`` and
-the ``0005_spaces-baseline`` CI gate (median:5%).
+the ``0004_spaces-baseline`` CI gate (median:5%).
 """
 
-import multiprocessing
-import os
 from time import perf_counter
-
-import pytest
 
 from repro.core import (
     EqualityConstraint,
@@ -30,14 +27,12 @@ from repro.core import (
     Variable,
 )
 from repro.selection import RankedSelector
-from repro.spaces import Space, search_realizations
+from repro.spaces import Space
 from repro.stem import CellClass, Rect
 
 D = 1.0
 A = 10.0
 SEARCH_CANDIDATES = 16
-HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
-CPUS = os.cpu_count() or 1
 
 
 def build_network(count=32, context=None):
@@ -57,10 +52,9 @@ def build_candidate_tree(count=SEARCH_CANDIDATES, *, work_cost_us=2_000):
     """A generic with ``count`` concrete realizations whose acceptance
     test charges ``work_cost_us`` of propagation work per probe.
 
-    Real candidate tests run whole constraint networks; CI boxes are
-    too fast for tiny ones to show parallelism, so the tested delay
-    variable carries a calibrated busy-wait predicate standing in for
-    the fan-out of a production design.
+    Real candidate tests run whole constraint networks, so the tested
+    delay variable carries a calibrated busy-wait predicate standing in
+    for the fan-out of a production design.
     """
     generic = CellClass("GEN", is_generic=True)
     generic.define_signal("x", "in")
@@ -136,52 +130,3 @@ class TestSearchWallClock:
     def test_sequential_search_baseline(self, benchmark):
         instance = build_candidate_tree(work_cost_us=200)
         benchmark(lambda: RankedSelector().rank(instance))
-
-    def test_space_search_serial(self, benchmark):
-        instance = build_candidate_tree(work_cost_us=200)
-        benchmark(lambda: search_realizations(instance, workers=1))
-
-
-@pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
-@pytest.mark.skipif(CPUS < 4, reason=f"parallel speedup needs >=4 CPUs, "
-                                     f"have {CPUS}")
-def test_parallel_search_speedup_over_sequential():
-    """Acceptance: 8 fork workers ≥2x over the sequential in-place
-    generate-and-test on a 16-candidate search."""
-    instance = build_candidate_tree()
-
-    def sequential():
-        return RankedSelector().rank(instance)
-
-    def parallel():
-        return search_realizations(instance, workers=8, backend="fork")
-
-    reference = sequential()
-    result = parallel()
-    assert [entry.cell.name for entry in result.ranking] \
-        == [entry.cell.name for entry in reference]
-
-    best_seq = min(_timed(sequential) for _ in range(3))
-    best_par = min(_timed(parallel) for _ in range(3))
-    speedup = best_seq / best_par
-    assert speedup >= 2.0, (
-        f"parallel search speedup {speedup:.2f}x < 2x "
-        f"(sequential {best_seq * 1e3:.1f}ms, "
-        f"parallel {best_par * 1e3:.1f}ms)")
-
-
-def _timed(fn):
-    t0 = perf_counter()
-    fn()
-    return perf_counter() - t0
-
-
-@pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
-def test_parallel_search_matches_sequential_cheaply():
-    """Even where the speedup gate is skipped (1-CPU CI boxes), the
-    fork path itself must work and agree with the sequential result."""
-    instance = build_candidate_tree(work_cost_us=0)
-    reference = RankedSelector().rank(instance)
-    result = search_realizations(instance, workers=2, backend="fork")
-    assert [entry.cell.name for entry in result.ranking] \
-        == [entry.cell.name for entry in reference]

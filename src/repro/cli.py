@@ -172,30 +172,6 @@ def cmd_select(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def cmd_search(args: argparse.Namespace, out) -> int:
-    """Parallel generate-and-test module selection over computation
-    spaces: identical ranked results to ``select --rank``, but every
-    tentative test runs in an encapsulated space and candidates can be
-    evaluated by parallel workers."""
-    from .spaces import search_realizations
-
-    library = _load(args.design)
-    cell = library.cell(args.cell)
-    instance = _find_instance(cell, args.instance)
-    result = search_realizations(instance, workers=args.workers,
-                                 backend=args.backend,
-                                 prune=not args.no_prune)
-    if not result.ranking:
-        print("no valid realizations", file=out)
-        print(f"({result.stats})", file=out)
-        return 1
-    for entry in result.ranking:
-        print(f"{entry.cell.name}  score={entry.score:.3f}  "
-              f"metrics={entry.metrics}", file=out)
-    print(f"({result.stats})", file=out)
-    return 0
-
-
 def cmd_browse(args: argparse.Namespace, out) -> int:
     """The Cell Browser panes for one cell, textually."""
     from .stem.browser import CellBrowser
@@ -703,23 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--rank", action="store_true",
                           help="rank valid realizations by merit")
     p_select.set_defaults(fn=cmd_select)
-
-    p_search = sub.add_parser("search", help="parallel module-selection "
-                                             "search over computation "
-                                             "spaces")
-    p_search.add_argument("design")
-    p_search.add_argument("--cell", required=True,
-                          help="cell containing the generic instance")
-    p_search.add_argument("--instance", required=True,
-                          help="name of the generic instance")
-    p_search.add_argument("--workers", type=int, default=1,
-                          help="parallel evaluators (default 1)")
-    p_search.add_argument("--backend", default="auto",
-                          choices=("auto", "serial", "thread", "fork"),
-                          help="evaluation backend (default auto)")
-    p_search.add_argument("--no-prune", action="store_true",
-                          help="disable generic-subtree pruning")
-    p_search.set_defaults(fn=cmd_search)
 
     p_browse = sub.add_parser("browse", help="cell browser panes for a cell")
     p_browse.add_argument("design")

@@ -69,7 +69,6 @@ from .sweep import (
     SweepError,
     SweepPlan,
     SweepResult,
-    compile_island_sweeps,
     compile_sweep,
     sweep,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "STRONG", "StrengthAwareVariable", "USER_STRENGTH", "WEAK", "WEAKEST",
     "bfs_partition", "PropagationTrace",
     "HAVE_NUMPY", "SweepError", "SweepPlan", "SweepResult",
-    "compile_island_sweeps",
     "compile_network", "compile_sweep", "control_for", "explain",
     "plan_one_pass", "solve_one_pass", "strength_of_constraint", "sweep",
     "trace", "with_strength",

@@ -4,8 +4,7 @@ A multi-module design hierarchy is many weakly-coupled subgraphs: the
 propagation wavefront started by an assignment can only ever reach
 variables *connected* to the entry variable through constraints.  Those
 components are called **islands**.  :func:`bfs_partition` computes them
-on demand for the ``stats`` frame, ``repro stats`` / ``repro islands``
-and island-aware sweeps (:func:`repro.core.sweep.compile_island_sweeps`).
+on demand for the ``stats`` frame and ``repro stats`` / ``repro islands``.
 
 The partition is over the *raw* constraint graph, ignoring
 :class:`~repro.core.control.PropagationControl` state: a disabled

@@ -52,15 +52,6 @@ class ExternalJustification:
     def name(self) -> str:
         return self._name
 
-    # Interned symbols copy as themselves, so identity comparisons
-    # (``justification is USER``) survive structural clones of a design
-    # (e.g. ``copy.deepcopy`` in repro.spaces.search worker setup).
-    def __copy__(self) -> "ExternalJustification":
-        return self
-
-    def __deepcopy__(self, memo: dict) -> "ExternalJustification":
-        return self
-
     def __reduce__(self):
         return (ExternalJustification, (self._name,))
 

@@ -70,7 +70,7 @@ except ImportError:  # pragma: no cover
 HAVE_NUMPY = _numpy is not None
 
 __all__ = ["HAVE_NUMPY", "SweepError", "SweepPlan", "SweepResult",
-           "compile_island_sweeps", "compile_sweep", "sweep"]
+           "compile_sweep", "sweep"]
 
 
 class SweepError(Exception):
@@ -611,37 +611,6 @@ def _emit_predicate(constraint: Any, varying: Dict[int, Any],
     sources = [source_of(argument) for argument in arguments]
     ops.append(("mask", _predicate_kernel(constraint), sources))
     return True
-
-
-def compile_island_sweeps(inputs: Any, *,
-                          context: Any = None) -> List[SweepPlan]:
-    """Compile one sweep plan per constraint-graph island of the inputs.
-
-    Swept variables in disjoint islands share no constraints, so their
-    closures compile — and run — independently; a multi-module
-    exploration becomes one small plan per module instead of one fused
-    plan whose compile walks every module's closure together.  Inputs
-    are grouped by :func:`~repro.core.islands.bfs_partition`; within
-    each group, input order is preserved.  Returns the plans in
-    first-input order.
-    """
-    from .islands import bfs_partition
-
-    if hasattr(inputs, "all_constraints"):
-        inputs = [inputs]
-    swept = list(inputs)
-    if not swept:
-        raise SweepError("a sweep needs at least one swept variable")
-    ctx = context if context is not None else swept[0].context
-    # Every component starts from a swept variable, in first-input order.
-    components = bfs_partition(swept)
-    island_of = {id(variable): index
-                 for index, component in enumerate(components)
-                 for variable in component}
-    groups: List[List[Any]] = [[] for _ in components]
-    for variable in swept:
-        groups[island_of[id(variable)]].append(variable)
-    return [compile_sweep(group, context=ctx) for group in groups]
 
 
 def sweep(inputs: Any, candidates: Any, *, context: Any = None,

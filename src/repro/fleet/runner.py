@@ -13,8 +13,10 @@ a worker abruptly — no drain, no journal sync — to exercise failover.
 and direct topologies can be benchmarked side by side.
 
 Process-level crash realism (SIGKILL, lost page cache) lives in
-``tools/fleet_smoke.py``, which drives real subprocesses through the
-``repro fleet`` CLI instead.
+``tools/fleet_smoke.py``, which starts ``repro fleet-worker``
+subprocesses behind an in-process :class:`~repro.fleet.router.Router`.
+The ``repro fleet`` command (workers and router all as subprocesses)
+is driven by ``tests/test_cli.py``.
 """
 
 from __future__ import annotations

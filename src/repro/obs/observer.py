@@ -261,18 +261,12 @@ class Observer:
 
     # -- computation spaces (repro/spaces) -------------------------------------
 
-    def space_event(self, kind: str, count: int = 1) -> None:
-        """One computation-space lifecycle event: ``clone`` / ``fork`` /
-        ``commit`` / ``discard`` / ``prune``."""
+    def space_event(self, kind: str) -> None:
+        """One computation-space lifecycle event: ``clone`` / ``commit``
+        / ``discard``."""
         metrics = self.metrics
         if metrics is not None:
-            metrics.counter(f"engine.space.{kind}").inc(count)
-
-    def space_depth(self, kind: str, depth: int) -> None:
-        """Current nesting (``nest``) or prune (``prune``) depth."""
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.gauge(f"engine.space.{kind}_depth").set(depth)
+            metrics.counter(f"engine.space.{kind}").inc()
 
     # -- compiler passes (core/compile.py) ------------------------------------
 

@@ -23,7 +23,7 @@ Two efficiency techniques (section 8.2):
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..stem.cell import CellClass, CellInstance
 
@@ -101,15 +101,6 @@ class ModuleSelector:
 
     # -- candidate testing (Fig. 8.2) ----------------------------------------------
 
-    def _accepts(self, variable: Any, value: Any) -> bool:
-        """One tentative acceptance test (Fig. 8.2's probing primitive).
-
-        The base selector probes in place; subclasses may redirect the
-        test into another universe (e.g. a computation space in
-        :class:`repro.spaces.search.SpaceSelector`).
-        """
-        return variable.can_be_set_to(value)
-
     def is_valid_realization_for(self, candidate: CellClass,
                                  instance: CellInstance) -> bool:
         """Selective testing of one candidate, in priority order."""
@@ -138,7 +129,7 @@ class ModuleSelector:
         if bbox_var.value is None:
             # No placement area fixed yet: check the default against the
             # instance's other constraints by tentative propagation.
-            return self._accepts(bbox_var, required)
+            return bbox_var.can_be_set_to(required)
         return bbox_var.value.can_contain(required)
 
     def valid_delays_for(self, candidate: CellClass,
@@ -150,7 +141,7 @@ class ModuleSelector:
             if candidate_delay is None or candidate_delay.value is None:
                 continue
             adjusted = candidate_delay.value + instance_delay.loading_penalty()
-            if not self._accepts(instance_delay, adjusted):
+            if not instance_delay.can_be_set_to(adjusted):
                 return False
         return True
 
@@ -169,15 +160,15 @@ class ModuleSelector:
                 continue
             width = candidate_signal.bit_width_var.value
             if width is not None \
-                    and not self._accepts(net.bit_width_var, width):
+                    and not net.bit_width_var.can_be_set_to(width):
                 return False
             data_type = candidate_signal.data_type_var.value
             if data_type is not None \
-                    and not self._accepts(net.data_type_var, data_type):
+                    and not net.data_type_var.can_be_set_to(data_type):
                 return False
             electrical = candidate_signal.electrical_type_var.value
             if electrical is not None \
-                    and not self._accepts(net.electrical_type_var, electrical):
+                    and not net.electrical_type_var.can_be_set_to(electrical):
                 return False
         return True
 

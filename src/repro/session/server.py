@@ -297,8 +297,14 @@ class SessionServer:
                 # The mutation already reached the journal — possibly in
                 # a previous process life (the rid cache above dies with
                 # the process, the journal does not).  Rebuild a response
-                # from current state instead of applying twice.
-                result = _RECONSTRUCT[cmd](self, message, session, entry)
+                # from current state instead of applying twice; a
+                # rejected round answers with the violation it got.
+                try:
+                    result = _RECONSTRUCT[cmd](self, message, session,
+                                               entry)
+                except _RequestError as error:
+                    _remember(cache, rid, error)
+                    raise
                 result["replayed"] = True
                 _remember(cache, rid, result)
                 return result
@@ -313,6 +319,8 @@ class SessionServer:
             # as-is.
             if rid is not None:
                 _remember(cache, rid, error)
+                if session is not None and error.kind == "violation":
+                    session.note_rejection(rid, error.detail)
             raise
         finally:
             if session is not None:
@@ -347,9 +355,8 @@ class SessionServer:
 
     @staticmethod
     def _violation_frame(session: Session, what: str) -> _RequestError:
-        detail = session.violations[-1] if session.violations else None
-        return _RequestError("violation", f"{what} rejected by a "
-                             f"constraint violation", detail=detail)
+        return _violation(what, session.violations[-1]
+                          if session.violations else None)
 
     # -- global commands ----------------------------------------------------
 
@@ -631,6 +638,11 @@ def _too_long_frame(limit: int) -> Dict[str, Any]:
                       "message": f"request frame exceeds {limit} bytes"}}
 
 
+def _violation(what: str, detail: Any) -> _RequestError:
+    return _RequestError("violation", f"{what} rejected by a "
+                         f"constraint violation", detail=detail)
+
+
 def _remember(cache: "OrderedDict[str, Any]", rid: str,
               outcome: Any) -> None:
     cache[rid] = outcome
@@ -645,10 +657,13 @@ def _remember(cache: "OrderedDict[str, Any]", rid: str,
 # request, stamped with the request's rid, so a retry that arrives after
 # a worker kill — when the in-memory cache is gone but the journal was
 # replayed — is recognized via Session.rid_entry and answered from
-# current state instead of applying twice.  Reconstructed responses
-# carry ``"replayed": true``; value fields reflect the state *now*,
-# which equals the original response unless later mutations intervened
-# (clients retry promptly, so in practice they match).
+# current state instead of applying twice.  A request whose round was
+# rejected answers with the same violation frame again (the session
+# notes each rejection, live and on replay: Session.rid_outcome).
+# Reconstructed responses carry ``"replayed": true``; value fields
+# reflect the state *now*, which equals the original response unless
+# later mutations intervened (clients retry promptly, so in practice
+# they match).
 
 _JOURNALED_COMMANDS = frozenset({
     "assign", "assign-many", "what-if-commit", "make-var", "retract",
@@ -669,8 +684,21 @@ def _reread_entries(session: Session,
     return results
 
 
+def _replay_rejection(session: Session, message: Dict[str, Any],
+                      what: str) -> None:
+    rejected, detail = session.rid_outcome(message["rid"])
+    if rejected:
+        raise _violation(what, detail)
+
+
+def _coalesced(batch: List[Dict[str, Any]]) -> int:
+    """Entries a batch round coalesced: one per repeated variable."""
+    return len(batch) - len({spec["var"] for spec in batch})
+
+
 def _rc_assign(server: "SessionServer", message: Dict[str, Any],
                session: Session, entry: Dict[str, Any]) -> Dict[str, Any]:
+    _replay_rejection(session, message, "assignment")
     value, just = session.get(message["var"])
     return {"accepted": True, "value": encode_value(value),
             "just": session._fingerprint_justification(just)}
@@ -679,25 +707,45 @@ def _rc_assign(server: "SessionServer", message: Dict[str, Any],
 def _rc_assign_many(server: "SessionServer", message: Dict[str, Any],
                     session: Session,
                     entry: Dict[str, Any]) -> Dict[str, Any]:
+    _replay_rejection(session, message, "batched assignment")
     return {"accepted": True,
             "entries": _reread_entries(session, message.get("entries", [])),
-            "coalesced": 0}
+            "coalesced": _coalesced(entry["entries"])}
 
 
 def _rc_what_if_commit(server: "SessionServer", message: Dict[str, Any],
                        session: Session,
                        entry: Dict[str, Any]) -> Dict[str, Any]:
-    journaled = {spec.get("var") for spec in entry.get("entries", [])}
+    _replay_rejection(session, message, "what-if commit")
+    # The journaled batch holds the accepted entries in request order,
+    # so matching the request against it, in order, recovers each
+    # entry's flag.
+    journaled = entry["entries"]
+    cursor = 0
     results = []
     for spec in message.get("entries", []):
+        variable = session._target_variable(spec["var"])
+        accepted = (cursor < len(journaled)
+                    and session._target_variable(
+                        journaled[cursor]["var"]) is variable
+                    and journaled[cursor]["value"]
+                    == encode_value(decode_value(spec.get("value"))))
+        cursor += accepted
         value, just = session.get(spec["var"])
         results.append({
-            "var": spec["var"], "accepted": spec["var"] in journaled,
+            "var": spec["var"], "accepted": accepted,
             "value": encode_value(value),
             "just": session._fingerprint_justification(just)})
     return {"accepted": True, "entries": results,
-            "committed": len(entry.get("entries", [])),
-            "position": session.position, "coalesced": 0}
+            "committed": len(journaled),
+            "position": session.position,
+            "coalesced": _coalesced(journaled)}
+
+
+def _rc_connect(server: "SessionServer", message: Dict[str, Any],
+                session: Session, entry: Dict[str, Any]) -> Dict[str, Any]:
+    _replay_rejection(session, message, "connection")
+    return {"connected": True}
 
 
 _RECONSTRUCT: Dict[str, Callable[..., Dict[str, Any]]] = {
@@ -730,8 +778,7 @@ _RECONSTRUCT: Dict[str, Callable[..., Dict[str, Any]]] = {
         {"instance": message["name"]},
     "add-net": lambda server, message, session, entry:
         {"net": message["name"]},
-    "connect": lambda server, message, session, entry:
-        {"connected": True},
+    "connect": _rc_connect,
 }
 
 _GLOBAL_COMMANDS = {"ping", "sessions", "shutdown", "health"}

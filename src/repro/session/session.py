@@ -268,13 +268,15 @@ class Session:
         self._addr_index: Optional[Dict[int, str]] = None
         self._safe_strings: set = set()
         self._journal: Optional[JournalWriter] = None
-        self._space_depth = 0
+        self._space_open = False
         self._last_seq = 0
         #: Request id to stamp into the next journaled entry (set by the
         #: server before its handler runs, consumed by the next append).
         self.pending_rid: Optional[str] = None
         self._applied_rids: "OrderedDict[str, Dict[str, Any]]" = \
             OrderedDict()
+        #: rid -> violation record, for the rids whose round was rejected.
+        self._rejected_rids: Dict[str, Any] = {}
         self.replayed_entries = 0
         self.unjournaled_assigns = 0
         self.context = PropagationContext()
@@ -306,13 +308,16 @@ class Session:
                     repair=not read_only):
                 if replay_to is not None and entry["seq"] > replay_to:
                     break
-                self._apply_entry(entry)
+                outcome = self._apply_entry(entry)
                 self._last_seq = entry["seq"]
                 last_op = entry["op"]
                 self.replayed_entries += 1
                 rid = entry.get("rid")
                 if rid is not None:
                     self._note_rid(rid, entry)
+                    if outcome is False:
+                        self.note_rejection(rid, self.violations[-1]
+                                            if self.violations else None)
             if self.replayed_entries:
                 self._observe("session_replayed", self.replayed_entries,
                               perf_counter() - t0)
@@ -900,6 +905,28 @@ class Session:
         """The journal entry a request id produced, if remembered."""
         return self._applied_rids.get(rid)
 
+    def note_rejection(self, rid: str, violation: Any) -> None:
+        """Remember that the round journaled under ``rid`` was rejected,
+        and the violation record it left.
+
+        Recovery notes each replayed rejection, and the server each live
+        one, so a retry answers with the violation the request got.
+        Bounded like the rid cache: rejected rids are a subset of the
+        applied ones, noted in the same order.
+        """
+        if rid not in self._applied_rids:
+            return
+        rejected = self._rejected_rids
+        rejected[rid] = violation
+        if len(rejected) > _RID_JOURNAL_CACHE:
+            del rejected[next(iter(rejected))]
+
+    def rid_outcome(self, rid: str) -> Tuple[bool, Any]:
+        """Whether the round journaled under ``rid`` was rejected, and
+        its violation record."""
+        rejected = self._rejected_rids
+        return rid in rejected, rejected.get(rid)
+
     def _run(self, entry: Dict[str, Any]) -> Any:
         """Journal an operation (write-ahead), then apply it."""
         self._check_no_open_space(entry["op"])
@@ -910,7 +937,7 @@ class Session:
         """Structural and history operations are not speculative: a
         space only overlays *values*, so refusing them while a space is
         open is what keeps discard() trace-free."""
-        if self._space_depth:
+        if self._space_open:
             raise SessionError(
                 f"cannot {what} while a computation space is open; "
                 f"commit or discard the space first")
@@ -926,8 +953,9 @@ class Session:
 
     # -- internals: entry application ---------------------------------------
 
-    def _apply_entry(self, entry: Dict[str, Any]) -> None:
-        """Apply one journal entry during recovery replay."""
+    def _apply_entry(self, entry: Dict[str, Any]) -> Any:
+        """Apply one journal entry during recovery replay; return the
+        mutation's result (``False`` for a rejected round)."""
         op = entry["op"]
         if op == "undo":
             self._apply_undo()
@@ -936,7 +964,8 @@ class Session:
         elif op == "checkpoint":
             self._apply_checkpoint_marker()
         else:
-            self._apply_mutation(entry)
+            return self._apply_mutation(entry)
+        return None
 
     def _apply_mutation(self, entry: Dict[str, Any],
                         clear_redo: bool = True) -> Any:

@@ -1,22 +1,11 @@
-"""Computation spaces: speculative what-if exploration and search.
+"""Computation spaces: speculative what-if exploration.
 
 A :class:`~repro.spaces.space.Space` is an encapsulated child universe
 over a :class:`~repro.core.engine.PropagationContext` — it accepts
 ordinary assignment rounds and either commits them to the parent as one
-journaled batch, discards without a trace, or forks nested
-alternatives.  :func:`~repro.spaces.search.search_realizations` builds
-parallel generate-and-test module selection (thesis chapter 8) on top.
+journaled batch or discards without a trace.
 """
 
-from .search import (SearchStats, SpaceSearchResult, SpaceSelector,
-                     search_realizations)
 from .space import Space, SpaceError
 
-__all__ = [
-    "Space",
-    "SpaceError",
-    "SpaceSelector",
-    "SearchStats",
-    "SpaceSearchResult",
-    "search_realizations",
-]
+__all__ = ["Space", "SpaceError"]

@@ -11,9 +11,9 @@ and ends in exactly one of
   replay/undo/fingerprint semantics come for free),
 * :meth:`Space.discard` — every effect vanishes without a trace: the
   parent is byte-identical (values, justifications, stats, violations,
-  journal position) to never having opened the space,
-* :meth:`Space.fork` — a nested child space for exploring alternatives
-  below the current speculation.
+  journal position) to never having opened the space.
+
+One space at a time may be open on a context.
 
 The cloning is copy-on-write: structure (cells, constraints, the
 variables themselves) is shared with the parent, and the space records a
@@ -82,12 +82,9 @@ class Space:
         session's structural-operation guard.
     """
 
-    def __init__(self, context: Any, *, session: Any = None,
-                 parent: Optional["Space"] = None) -> None:
+    def __init__(self, context: Any, *, session: Any = None) -> None:
         self._context = context
         self._session = session
-        self._parent = parent
-        self.depth = 1 if parent is None else parent.depth + 1
         #: Violation records captured while the space was the handler.
         self.violations: List[ViolationRecord] = []
         self._overlay: Dict[Any, Tuple[Justification, Any]] = {}
@@ -95,7 +92,6 @@ class Space:
         self._pending: Optional[int] = None
         self._saved_recorder: Any = None
         self._saved_handler: Any = None
-        self._saved_shadow: Any = None
         self._saved_stats: Optional[Dict[str, int]] = None
         self.state = "new"
 
@@ -113,12 +109,11 @@ class Space:
         if context.in_round:
             raise SpaceError("cannot open a space while propagation "
                              "is running")
-        if context.shadow is not None and context.shadow is not self._parent:
+        if context.shadow is not None:
             raise SpaceError("another space is already open on this "
-                             "context; fork() it instead")
+                             "context")
         self._saved_recorder = context.recorder
         self._saved_handler = context.handler
-        self._saved_shadow = context.shadow
         self._saved_stats = context.stats.snapshot()
         context.recorder = self
         context.handler = _SpaceViolationHandler(self)
@@ -126,9 +121,8 @@ class Space:
         self.state = "open"
         session = self._session
         if session is not None:
-            session._space_depth += 1
-        self._observe("fork" if self._parent is not None else "clone")
-        self._observe_depth()
+            session._space_open = True
+        self._observe("clone")
         return self
 
     def __enter__(self) -> "Space":
@@ -141,9 +135,6 @@ class Space:
     def _require_open(self) -> None:
         if self.state != "open":
             raise SpaceError(f"space is {self.state}, not open")
-        if self._context.shadow is not self:
-            raise SpaceError("a forked child space is still open; close "
-                             "it before operating on the parent space")
 
     # -- speculative rounds -------------------------------------------------
 
@@ -254,10 +245,10 @@ class Space:
             setattr(stats, name, value)
         context.recorder = self._saved_recorder
         context.handler = self._saved_handler
-        context.shadow = self._saved_shadow
+        context.shadow = None
         session = self._session
         if session is not None:
-            session._space_depth -= 1
+            session._space_open = False
 
     def discard(self) -> None:
         """Vanish without a trace: the parent is byte-identical to never
@@ -266,7 +257,6 @@ class Space:
         self._restore_parent()
         self.state = "discarded"
         self._observe("discard")
-        self._observe_depth()
 
     def commit(self) -> bool:
         """Merge the accumulated assignments into the parent as one
@@ -275,10 +265,8 @@ class Space:
         The space first restores the parent completely (discard
         semantics), then replays its accepted log through the parent's
         ordinary ``assign_many`` — so a session journals exactly one
-        ``{"op": "batch"}`` frame and a forked child merges into its
-        parent space's log instead.  Returns the batch's validity; a
-        ``False`` (the parent rejected the merged batch, e.g. because a
-        sibling space committed conflicting values first) leaves the
+        ``{"op": "batch"}`` frame.  Returns the batch's validity; a
+        ``False`` (the parent rejected the merged batch) leaves the
         parent untouched.
         """
         self._require_open()
@@ -289,15 +277,7 @@ class Space:
         if log:
             ok = self._context.assign_many(log)
         self._observe("commit")
-        self._observe_depth()
         return ok
-
-    def fork(self) -> "Space":
-        """A nested child space: its commit merges into *this* space's
-        overlay and log; its discard returns to the fork point."""
-        self._require_open()
-        child = Space(self._context, session=self._session, parent=self)
-        return child.open()
 
     # -- observability ------------------------------------------------------
 
@@ -308,16 +288,7 @@ class Space:
             if hook is not None:
                 hook(kind)
 
-    def _observe_depth(self) -> None:
-        observer = self._context.observer
-        if observer is not None:
-            hook = getattr(observer, "space_depth", None)
-            if hook is not None:
-                hook("nest", self.depth if self.state == "open"
-                     else self.depth - 1)
-
     def __repr__(self) -> str:
-        return (f"<Space {self.state} depth={self.depth} "
-                f"entries={len(self._log)} "
+        return (f"<Space {self.state} entries={len(self._log)} "
                 f"overlay={len(self._overlay)} "
                 f"violations={len(self.violations)}>")

@@ -27,14 +27,6 @@ class Point:
     def __setattr__(self, *_args) -> None:
         raise AttributeError("Point is immutable")
 
-    # Immutable value objects copy as themselves (structural design
-    # clones in repro.spaces.search would otherwise trip __setattr__).
-    def __copy__(self) -> "Point":
-        return self
-
-    def __deepcopy__(self, memo: dict) -> "Point":
-        return self
-
     def __add__(self, other: "Point") -> "Point":
         return Point(self.x + other.x, self.y + other.y)
 
@@ -84,12 +76,6 @@ class Rect:
 
     def __setattr__(self, *_args) -> None:
         raise AttributeError("Rect is immutable")
-
-    def __copy__(self) -> "Rect":
-        return self
-
-    def __deepcopy__(self, memo: dict) -> "Rect":
-        return self
 
     @classmethod
     def of_extent(cls, width: float, height: float,
@@ -183,12 +169,6 @@ class Transform:
 
     def __setattr__(self, *_args) -> None:
         raise AttributeError("Transform is immutable")
-
-    def __copy__(self) -> "Transform":
-        return self
-
-    def __deepcopy__(self, memo: dict) -> "Transform":
-        return self
 
     @classmethod
     def translation(cls, x: float, y: float) -> "Transform":

@@ -1,12 +1,10 @@
-"""Constraint-graph islands: the BFS partition and island-aware sweeps.
+"""Constraint-graph islands: the BFS partition and multi-island batches.
 
 The contract under test:
 
 * :func:`bfs_partition` returns the connected components of the raw
   constraint graph — links merge, removals split, control state is
   ignored, hierarchy duals connect class and instance variables;
-* :func:`compile_island_sweeps` compiles one sweep plan per island of
-  the swept inputs, in first-input order;
 * an ``assign_many`` batch spanning several islands is one fused round:
   an error raised in one island restores every island and re-raises.
 """
@@ -16,13 +14,10 @@ import pytest
 from repro.core import (
     EqualityConstraint,
     PropagationContext,
-    ScaleOffsetConstraint,
-    UniAdditionConstraint,
     UniMaximumConstraint,
     UpperBoundConstraint,
     Variable,
     bfs_partition,
-    compile_island_sweeps,
     control_for,
 )
 
@@ -94,45 +89,6 @@ class TestBfsPartition:
         class_var.unregister_instance_var(second)
         assert names(bfs_partition([first, second])) \
             == [["class", "first"], ["second"]]
-
-
-class TestIslandSweeps:
-    def test_compile_island_sweeps_splits_disjoint_closures(self):
-        context = PropagationContext()
-        plans_inputs = []
-        for index in range(3):
-            source = Variable(name=f"s{index}", context=context)
-            result = Variable(name=f"r{index}", context=context)
-            ScaleOffsetConstraint(result, source, scale=2, offset=index)
-            plans_inputs.append((source, result))
-        plans = compile_island_sweeps([pair[0] for pair in plans_inputs],
-                                      context=context)
-        assert len(plans) == 3
-        for index, (plan, (source, result)) in enumerate(
-                zip(plans, plans_inputs)):
-            outcome = plan.run([1.0, 2.0], backend="python")
-            assert outcome.values[result] == [2.0 + index, 4.0 + index]
-
-    def test_same_island_inputs_share_one_plan(self):
-        context = PropagationContext()
-        a = Variable(name="a", context=context)
-        b = Variable(name="b", context=context)
-        total = Variable(name="total", context=context)
-        UniAdditionConstraint(total, [a, b])
-        plans = compile_island_sweeps([a, b], context=context)
-        assert len(plans) == 1
-        outcome = plans[0].run([[1.0, 2.0], [10.0, 20.0]],
-                               backend="python")
-        assert outcome.values[total] == [11.0, 22.0]
-
-    def test_without_an_index_bfs_grouping_applies(self):
-        context = PropagationContext()
-        x = Variable(name="x", context=context)
-        y = Variable(name="y", context=context)
-        rx = Variable(name="rx", context=context)
-        ScaleOffsetConstraint(rx, x, scale=3)
-        plans = compile_island_sweeps([x, y], context=context)
-        assert len(plans) == 2
 
 
 class TestBatchParity:

@@ -158,3 +158,123 @@ class TestServerReplay:
                                  value=9, just="USER", rid="rid-C")
             assert "replayed" not in result
             assert client.session("gamma").value("v:x") == 9
+
+    # -- rejected requests replay as the violation they got ---------------
+
+    def _bounded(self, client, name):
+        """A session with ``x <= 10`` and a free ``y``."""
+        handle = client.session(name)
+        handle.make_var("x")
+        handle.make_var("y")
+        handle.add_constraint("upper-bound", ["v:x"], params={"bound": 10})
+        return handle
+
+    @staticmethod
+    def _error(client, cmd, **fields):
+        from repro.session.client import ServerError
+
+        with pytest.raises(ServerError) as caught:
+            client.call(cmd, **fields)
+        return caught.value
+
+    @staticmethod
+    def _reopen(client, handle, name):
+        handle.close()
+        client.call("open", session=name)
+
+    def test_rejected_assign_replays_its_violation(self, server):
+        with server.client() as client:
+            handle = self._bounded(client, "delta")
+            request = dict(session="delta", var="v:x", value=50,
+                           just="USER", rid="rid-D")
+            live = self._error(client, "assign", **request)
+            assert live.kind == "violation"
+            position = handle.fingerprint(stats=False)["position"]
+            self._reopen(client, handle, "delta")
+            replay = self._error(client, "assign", **request)
+            assert (replay.kind, str(replay), replay.detail) \
+                == (live.kind, str(live), live.detail)
+            assert live.detail is not None
+            assert handle.value("v:x") is None
+            assert handle.fingerprint(stats=False)["position"] == position
+
+    def test_rejected_batch_replays_its_violation(self, server):
+        with server.client() as client:
+            handle = self._bounded(client, "epsilon")
+            request = dict(session="epsilon", just="USER", rid="rid-E",
+                           entries=[{"var": "v:x", "value": 60},
+                                    {"var": "v:y", "value": 1}])
+            live = self._error(client, "assign-many", **request)
+            assert live.kind == "violation"
+            self._reopen(client, handle, "epsilon")
+            replay = self._error(client, "assign-many", **request)
+            assert (replay.kind, str(replay), replay.detail) \
+                == (live.kind, str(live), live.detail)
+            assert handle.value("v:y") is None
+
+    def test_what_if_commit_replays_per_entry_acceptance(self, server):
+        with server.client() as client:
+            handle = self._bounded(client, "zeta")
+            request = dict(session="zeta", just="USER", rid="rid-Z",
+                           entries=[{"var": "v:x", "value": 5},
+                                    {"var": "v:x", "value": 50},
+                                    {"var": "v:y", "value": 7}])
+            live = client.call("what-if-commit", **request)
+            assert [entry["accepted"] for entry in live["entries"]] \
+                == [True, False, True]
+            self._reopen(client, handle, "zeta")
+            replay = client.call("what-if-commit", **request)
+            assert replay["replayed"] is True
+            assert [entry["accepted"] for entry in replay["entries"]] \
+                == [True, False, True]
+            assert (replay["committed"], replay["coalesced"]) \
+                == (live["committed"], live["coalesced"])
+
+    def test_replayed_batch_reports_its_coalesced_count(self, server):
+        with server.client() as client:
+            handle = self._bounded(client, "eta")
+            request = dict(session="eta", just="USER", rid="rid-H",
+                           entries=[{"var": "v:x", "value": 1},
+                                    {"var": "v:x", "value": 2}])
+            live = client.call("assign-many", **request)
+            assert live["coalesced"] == 1
+            self._reopen(client, handle, "eta")
+            replay = client.call("assign-many", **request)
+            assert replay["replayed"] is True
+            assert replay["coalesced"] == live["coalesced"]
+
+    def test_rejected_connect_replays_its_violation(self, server):
+        with server.client() as client:
+            handle = client.session("iota")
+            handle.define_cell("INV")
+            handle.define_signal("INV", "a", "in")
+            handle.define_cell("TOP")
+            handle.define_signal("TOP", "in1", "in")
+            handle.instantiate("TOP", "INV", "u1")
+            handle.assign("c:TOP:in1.bitWidth", 16)
+            handle.assign("c:INV:a.bitWidth", 8)
+            handle.add_net("TOP", "n0")
+            handle.connect("TOP", "n0", "in1")
+            request = dict(session="iota", cell="TOP", net="n0",
+                           signal="a", instance="u1", rid="rid-I")
+            live = self._error(client, "connect", **request)
+            assert live.kind == "violation"
+            self._reopen(client, handle, "iota")
+            replay = self._error(client, "connect", **request)
+            assert (replay.kind, str(replay), replay.detail) \
+                == (live.kind, str(live), live.detail)
+
+    def test_rejection_outlives_the_response_cache(self, server):
+        from repro.session.server import _RID_CACHE_SIZE
+
+        with server.client() as client:
+            self._bounded(client, "theta")
+            request = dict(session="theta", var="v:x", value=50,
+                           just="USER", rid="rid-T")
+            live = self._error(client, "assign", **request)
+            for index in range(_RID_CACHE_SIZE + 1):
+                client.call("assign", session="theta", var="v:y",
+                            value=index, just="USER", rid=f"fill-{index}")
+            replay = self._error(client, "assign", **request)
+            assert (replay.kind, str(replay), replay.detail) \
+                == (live.kind, str(live), live.detail)

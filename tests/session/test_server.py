@@ -80,11 +80,26 @@ class TestProtocol:
         with client_of(server) as client:
             handle = client.session("proto-undo")
             handle.make_var("x", 1)
+            handle.make_var("y")
+            handle.add_constraint("equality", ["v:x", "v:y"])
             handle.assign("v:x", 2)
             assert handle.undo()
             assert handle.value("v:x") == 1
             assert handle.redo()
             assert handle.value("v:x") == 2
+            # a retract erases y with its source, and its undo survives
+            # a reopen
+            before = handle.fingerprint(stats=False)
+            handle.retract("v:x")
+            assert handle.value("v:y") is None
+            handle.close()
+            handle.open()
+            assert handle.value("v:x") is None
+            assert handle.undo()
+            assert handle.get("v:y") == {"value": 2,
+                                         "just": "propagated:c1"}
+            after = handle.fingerprint(stats=False)
+            assert after["variables"] == before["variables"]
             result = handle.checkpoint()
             assert result["path"]
             assert not handle.undo()  # checkpoint clears the window
@@ -102,6 +117,17 @@ class TestProtocol:
             assert handle.value("i:TOP:u1:w") == 2
             handle.assign("i:TOP:u1:w", 7)
             assert handle.value("i:TOP:u1:w") == 7
+            # a net ties TOP's input width to the instance's
+            handle.define_signal("TOP", "in1", "in")
+            handle.add_net("TOP", "n0")
+            handle.connect("TOP", "n0", "in1")
+            handle.connect("TOP", "n0", "a", instance="u1")
+            handle.assign("c:INV:a.bitWidth", 8)
+            assert handle.get("c:TOP:in1.bitWidth") \
+                == {"value": 8, "just": "propagated:EqualityConstraint"}
+            with pytest.raises(ServerError) as info:
+                handle.assign("c:TOP:in1.bitWidth", 16)
+            assert info.value.kind == "violation"
 
 
 class TestConcurrency:

@@ -1,4 +1,4 @@
-"""Computation-space lifecycle: clone, commit, discard, fork."""
+"""Computation-space lifecycle: clone, commit, discard."""
 
 import pathlib
 import shutil
@@ -113,7 +113,7 @@ class TestContextLifecycle:
         space = Space(context).open()
         space.discard()
         for operation in (lambda: space.assign(a, 1), space.discard,
-                          space.commit, space.fork):
+                          space.commit):
             with pytest.raises(SpaceError):
                 operation()
         with pytest.raises(SpaceError):
@@ -124,44 +124,6 @@ class TestContextLifecycle:
         with Space(context):
             with pytest.raises(SpaceError):
                 Space(context).open()
-
-    def test_fork_merges_into_parent_space(self, context):
-        a, b = linked_pair(context)
-        c = Variable(name="c", context=context)
-        with Space(context) as space:
-            space.assign(a, 1)
-            child = space.fork()
-            assert child.depth == 2
-            child.assign(c, 9)
-            assert child.commit()          # merges into the parent space
-            assert c.value == 9
-            assert [(var.name, value) for var, value, _ in space.log] \
-                == [("a", 1), ("c", 9)]
-            assert space.commit()
-        assert a.value == 1 and c.value == 9
-
-    def test_fork_discard_returns_to_fork_point(self, context):
-        a, b = linked_pair(context)
-        with Space(context) as space:
-            space.assign(a, 1)
-            child = space.fork()
-            child.assign(a, 2)
-            assert a.value == 2
-            child.discard()
-            assert a.value == 1
-            assert [(var.name, value) for var, value, _ in space.log] \
-                == [("a", 1)]
-
-    def test_parent_frozen_while_child_open(self, context):
-        a, _ = linked_pair(context)
-        with Space(context) as space:
-            child = space.fork()
-            with pytest.raises(SpaceError):
-                space.assign(a, 1)
-            with pytest.raises(SpaceError):
-                space.commit()
-            child.discard()
-            assert space.assign(a, 1)
 
     def test_disabled_context_assignments_confirm_immediately(self, context):
         a, b = linked_pair(context)
@@ -282,8 +244,6 @@ class TestObserverMetrics:
         try:
             with Space(context) as space:
                 space.assign(a, 1)
-                child = space.fork()
-                child.discard()
                 space.commit()
             with Space(context):
                 pass
@@ -291,7 +251,5 @@ class TestObserverMetrics:
             observer.uninstall()
         snapshot = registry.snapshot()
         assert snapshot["engine.space.clone"] == 2
-        assert snapshot["engine.space.fork"] == 1
         assert snapshot["engine.space.commit"] == 1
-        assert snapshot["engine.space.discard"] == 2
-        assert snapshot["engine.space.nest_depth"]["value"] == 0
+        assert snapshot["engine.space.discard"] == 1

@@ -3,6 +3,9 @@
 import io
 import json
 import os
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -146,38 +149,6 @@ class TestSelect:
                  "--instance", "GHOST"])
 
 
-class TestSearch:
-    def test_search_matches_select_rank(self, design_path):
-        ranked_code, ranked = run(["select", design_path, "--cell", "TOP",
-                                   "--instance", "A1", "--rank"])
-        code, text = run(["search", design_path, "--cell", "TOP",
-                          "--instance", "A1"])
-        assert (ranked_code, code) == (0, 0)
-        assert [line.split()[0] for line in ranked.splitlines() if line] \
-            == [line.split()[0] for line in text.splitlines()
-                if line and not line.startswith("(")]
-        assert "backend='serial'" in text
-
-    def test_search_parallel_workers(self, design_path):
-        code, text = run(["search", design_path, "--cell", "TOP",
-                          "--instance", "A1", "--workers", "2",
-                          "--backend", "thread"])
-        assert code == 0
-        assert "score=" in text
-        assert "backend='thread'" in text
-
-    def test_search_no_prune_same_ranking(self, design_path):
-        pruned_code, pruned = run(["search", design_path, "--cell", "TOP",
-                                   "--instance", "A1"])
-        code, text = run(["search", design_path, "--cell", "TOP",
-                          "--instance", "A1", "--no-prune"])
-        assert (pruned_code, code) == (0, 0)
-        assert [line for line in pruned.splitlines()
-                if line.startswith("ADD")] \
-            == [line for line in text.splitlines()
-                if line.startswith("ADD")]
-
-
 class TestBrowse:
     def test_browse_panes(self, design_path):
         code, text = run(["browse", design_path, "--cell", "TOP"])
@@ -254,6 +225,113 @@ class TestProfile:
             trace = json.load(handle)
         assert any(e["ph"] == "X" for e in trace["traceEvents"])
         assert trace["otherData"]["design"] == design_path
+
+
+class TestSweep:
+    """``repro sweep`` over the instance delay feeding TOP's delay
+    network (the design's only swept network: nothing in it rejects)."""
+
+    ARGS = ["--cell", "TOP", "--instance", "A1", "--var", "delay(x->y)"]
+
+    def test_values_table_and_exit_status(self, design_path):
+        code, text = run(["sweep", design_path, *self.ARGS,
+                          "--values", "1,2.5,4", "--backend", "python"])
+        assert code == 0
+        lines = text.splitlines()
+        assert lines[0].endswith(" over 3 candidate(s) [python backend]:")
+        assert "TOP.delay(in1->out1)" in lines[1]
+        rows = [line.split() for line in lines[2:5]]
+        assert [row[0] for row in rows] == ["1", "2.5", "4"]
+        assert all(row[-1] == "yes" for row in rows)
+        assert lines[-1] == "3/3 candidate(s) satisfy every constraint"
+
+    def test_range_is_inclusive_with_a_step(self, design_path):
+        code, text = run(["sweep", design_path, *self.ARGS,
+                          "--range", "1:3:0.5"])
+        assert code == 0
+        assert "5 candidate(s)" in text.splitlines()[0]
+        assert text.splitlines()[-1] \
+            == "5/5 candidate(s) satisfy every constraint"
+
+    def test_json_report(self, design_path):
+        code, text = run(["sweep", design_path, *self.ARGS,
+                          "--range", "2:4", "--json", "--backend",
+                          "python"])
+        assert code == 0
+        report = json.loads(text)
+        assert report["candidates"] == [2.0, 3.0, 4.0]
+        assert report["backend"] == "python"
+        assert report["outputs"]["TOP.delay(in1->out1)"] == [2.0, 3.0, 4.0]
+        assert report["satisfied"] == [True, True, True]
+        assert report["satisfied_count"] == 3
+
+    def test_malformed_range_is_an_error_line(self, design_path):
+        with pytest.raises(SystemExit) as caught:
+            run(["sweep", design_path, *self.ARGS, "--range", "4:1"])
+        assert str(caught.value) \
+            == "error: --range needs STOP >= START and STEP > 0"
+
+
+def _child_pids(pid):
+    """Live children of ``pid``, read from /proc."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        # the command name is parenthesized and may hold spaces
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads worker pids from /proc")
+class TestFleetCommand:
+    def test_router_and_workers_serve_then_exit_on_shutdown(self, tmp_path):
+        from repro.session.client import SessionClient
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "fleet", "--root",
+             str(tmp_path), "--workers", "2", "--port", "0",
+             "--fsync", "never"],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            stdout=subprocess.PIPE, text=True)
+        try:
+            banner = proc.stdout.readline()
+            match = re.search(r"fleet router listening on ([\d.]+):(\d+) "
+                              r"\(workers=2 ", banner)
+            assert match, banner
+            workers = _child_pids(proc.pid)
+            assert len(workers) == 2
+            with SessionClient(match.group(1), int(match.group(2))) \
+                    as client:
+                handle = client.session("fleet-cli")
+                handle.make_var("x")
+                assert handle.assign("v:x", 7)["accepted"]
+                assert handle.fingerprint(stats=False)["variables"] \
+                    ["v:x"]["value"] == 7
+                client.shutdown()
+            assert proc.wait(timeout=30) == 0
+            assert not [pid for pid in workers if _alive(pid)]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
 
 
 class TestStoreCompact:

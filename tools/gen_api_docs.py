@@ -50,7 +50,7 @@ EXTRA_MODULES = {
     "repro.fleet": ["repro.fleet.hashring", "repro.fleet.replica",
                     "repro.fleet.worker", "repro.fleet.router",
                     "repro.fleet.runner"],
-    "repro.spaces": ["repro.spaces.space", "repro.spaces.search"],
+    "repro.spaces": ["repro.spaces.space"],
 }
 
 
